@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ParseError, UnsupportedDimension
+from .errors import ParseError, UnsupportedDimension
 
 _FIELD_HEADER = re.compile(r"^CRI-FIELD v1 n=(\d+) N=(\d+)\s*$")
 
@@ -171,53 +171,6 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> HessianField:
         diag,
         mixed_plus=grid.forward_skew(values),
         mixed_minus=grid.backward_skew(values),
-    )
-
-
-def solve_mean_zero_linear(grid, apply_L, rhs, rel_tol=1e-10, max_iter=None):
-    """Solve L x = rhs for mean-zero x, L symmetric negative definite there.
-
-    ``apply_L`` is a callable mapping fields to fields.  Conjugate
-    gradients run on the negated operator restricted to the mean-zero
-    subspace; both the right-hand side and every iterate are projected.
-    Raises NoConvergence if the relative residual fails to reach
-    ``rel_tol`` within the iteration budget.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != grid.shape:
-        raise ValueError("rhs shape does not match grid")
-    if max_iter is None:
-        max_iter = 20 * grid.num_points
-
-    def project(v):
-        return v - v.mean()
-
-    b = project(-rhs)
-    b_norm = np.linalg.norm(b.ravel())
-    x = np.zeros(grid.shape)
-    if b_norm == 0.0:
-        return x
-    r = b.copy()
-    p = r.copy()
-    rr = float((r * r).sum())
-    for _ in range(max_iter):
-        Ap = project(-apply_L(p))
-        pAp = float((p * Ap).sum())
-        if pAp <= 0.0:
-            raise NoConvergence(
-                "operator is not negative definite on mean-zero fields"
-            )
-        alpha = rr / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rr_new = float((r * r).sum())
-        if np.sqrt(rr_new) <= rel_tol * b_norm:
-            x = project(x)
-            return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise NoConvergence(
-        f"projected CG did not reach rel_tol={rel_tol} in {max_iter} iterations"
     )
 
 

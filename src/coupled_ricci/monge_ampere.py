@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import gmres, spsolve
 
 from .errors import (
     ContinuityBreakdown,
@@ -28,6 +29,15 @@ from .grid import HessianField, PeriodicGrid, hessian
 logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 50
+
+# GMRES settings of the Newton linear solve.  It stops at the looser of the
+# relative tolerance and an absolute floor of _KRYLOV_ATOL_FACTOR * tol *
+# sqrt(P), tol being the Newton tolerance: on fine 2-d grids the linear
+# residual rounds at h^-2 scale, above any floor that small.
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_ATOL_FACTOR = 0.01
+_KRYLOV_RESTART = 50
+_KRYLOV_MAXITER = 10
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +211,12 @@ class AdmissiblePotential:
 
 @dataclass
 class SolveReport:
-    """Outcome record of one twisted slice solve."""
+    """Outcome record of one twisted slice solve.
+
+    ``damping_factors`` and ``krylov_iterations`` hold one entry per
+    Newton step: the accepted line-search factor, and the preconditioner
+    applications of that step's GMRES solve.
+    """
 
     outcome: str
     newton_iterations: int
@@ -210,6 +225,7 @@ class SolveReport:
     continuity_trace: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
     c: float = float("nan")
+    krylov_iterations: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,7 @@ def log_ma_linearization(grid, A, psi=None, hess=None) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Newton machinery
+# assembled Newton reference
 
 
 def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
@@ -356,6 +372,148 @@ def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
     return delta, delta_s, predicted
 
 
+# ---------------------------------------------------------------------------
+# matrix-free Newton systems
+
+
+def _newton_operators(grid, A, hess, t=None):
+    """Matrix-free Newton matrix, its FFT preconditioner and a counter.
+
+    L is log_ma_linearization applied through the np.roll stencils of
+    ``grid``.  With ``t`` None the matrix is the lam=-1 Jacobian L - I;
+    otherwise it is the bordered rung matrix [[L + t*I, -1], [1^T/P, 0]]
+    acting on (delta_phi, delta_s).
+
+    The preconditioner inverts the Fourier symbol of the same stencils
+    with grid-mean coefficients.  In the bordered case the zero Fourier
+    mode and s form the 2-by-2 block [[t, -1], [1, 0]], which is
+    invertible for every t, including t = 0.  The one-element list
+    returned last counts preconditioner applications.
+    """
+    shape = grid.shape
+    P = grid.num_points
+    axes = tuple(range(grid.n))
+    zero_mode = (0,) * grid.n
+    dens = ma_density(grid, A, hess=hess)
+    if grid.n == 1:
+        stencils = [lambda v: grid.second_diff(v, 0)]
+        coeffs = [1.0 / dens]
+    else:
+        stencils = [
+            lambda v: grid.second_diff(v, 0),
+            lambda v: grid.second_diff(v, 1),
+            grid.forward_skew,
+            grid.backward_skew,
+        ]
+        coeffs = [
+            (A[1, 1] + hess.diag[1]) / dens,
+            (A[0, 0] + hess.diag[0]) / dens,
+            -(A[0, 1] + hess.mixed_plus) / dens,
+            -(A[0, 1] + hess.mixed_minus) / dens,
+        ]
+
+    def apply_L(v):
+        return sum(c * stencil(v) for c, stencil in zip(coeffs, stencils))
+
+    # With grid-mean coefficients L is a circular convolution, so its
+    # Fourier symbol is the transform of its response to a unit impulse.
+    impulse = np.zeros(shape)
+    impulse[zero_mode] = 1.0
+    symbol = np.fft.rfftn(
+        sum(c.mean() * stencil(impulse) for c, stencil in zip(coeffs, stencils)),
+        axes=axes,
+    )
+    applications = [0]
+
+    def fourier_solve(r, inv_symbol):
+        applications[0] += 1
+        return np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
+
+    if t is None:
+        # The real part of the symbol is <= 0 on admissible fields, so
+        # symbol - 1 never vanishes.
+        inv_symbol = 1.0 / (symbol - 1.0)
+
+        def matvec(x):
+            v = x.reshape(shape)
+            return (apply_L(v) - v).ravel()
+
+        def psolve(x):
+            return fourier_solve(x.reshape(shape), inv_symbol).ravel()
+
+        size = P
+    else:
+        denom = symbol + t
+        denom[zero_mode] = 1.0
+        inv_symbol = 1.0 / denom
+        inv_symbol[zero_mode] = 0.0
+
+        def matvec(x):
+            v = x[:P].reshape(shape)
+            out = np.empty(P + 1)
+            out[:P] = (apply_L(v) + t * v).ravel() - x[P]
+            out[P] = v.mean()
+            return out
+
+        def psolve(x):
+            r = x[:P].reshape(shape)
+            out = np.empty(P + 1)
+            out[:P] = (fourier_solve(r, inv_symbol) + x[P]).ravel()
+            out[P] = t * x[P] - r.mean()
+            return out
+
+        size = P + 1
+    operator = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+    preconditioner = spla.LinearOperator((size, size), matvec=psolve, dtype=float)
+    return operator, preconditioner, applications
+
+
+def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0):
+    """Newton direction by FFT-preconditioned GMRES.
+
+    Solves the system of :func:`_newton_operators` for the right-hand
+    side -(res, mean) (no ``mean`` row when ``t`` is None).  The Krylov
+    stopping rule follows the Newton tolerance ``tol``.  Returns
+    (delta_phi, delta_s, krylov_iterations); raises NoConvergence rather
+    than return an unconverged direction.
+    """
+    operator, preconditioner, applications = _newton_operators(
+        grid, A, hess, t
+    )
+    P = grid.num_points
+    if t is None:
+        # (L - I) 1 = -1 holds exactly, so the constant part of the
+        # right-hand side is solved in closed form; a relative Krylov
+        # tolerance would leave a multiple of it behind.
+        const = float(res.mean())
+        rhs = const - res.ravel()
+    else:
+        const = 0.0
+        rhs = -np.append(res.ravel(), mean)
+    sol, info = gmres(
+        operator, rhs,
+        rtol=_KRYLOV_RTOL,
+        atol=_KRYLOV_ATOL_FACTOR * tol * np.sqrt(P),
+        restart=_KRYLOV_RESTART,
+        maxiter=_KRYLOV_MAXITER,
+        M=preconditioner,
+    )
+    if info != 0:
+        reached = np.linalg.norm(rhs - operator @ sol) / np.linalg.norm(rhs)
+        raise NoConvergence(
+            f"Newton linear solve (GMRES) did not converge after "
+            f"{applications[0]} preconditioned iterations; relative "
+            f"residual {reached:.3e}"
+        )
+    delta = sol[:P].reshape(grid.shape) + const
+    delta_s = float(sol[P]) if t is not None else 0.0
+    return delta, delta_s, applications[0]
+
+
+# ---------------------------------------------------------------------------
+# damped Newton iterations
+
+
 def _line_search(grid, A, phi, delta, res_norm, eval_residual):
     """Backtrack until the iterate stays admissible and the residual drops."""
     alpha = 1.0
@@ -391,13 +549,12 @@ def _solve_monotone(grid, A, rhs, tol, phi0, max_newton):
     norm = float(np.abs(res).max())
     history = [norm]
     dampings = []
-    P = grid.num_points
+    krylov = []
     for iteration in range(max_newton):
         if norm <= tol:
-            return phi, iteration, dampings, history
-        lin = log_ma_linearization(grid, A, hess=hess)
-        jac = (lin - sp.identity(P)).tocsc()
-        delta = spsolve(jac, -res.ravel()).reshape(grid.shape)
+            return phi, iteration, dampings, history, krylov
+        delta, _, its = _newton_direction(grid, A, hess, res, tol)
+        krylov.append(its)
         phi, hess, res, norm, alpha = _line_search(
             grid, A, phi, delta, norm, eval_residual
         )
@@ -416,8 +573,6 @@ def _solve_bordered(grid, A, rhs, t, tol, phi0, s0, max_newton):
     hess = hessian(grid, phi)
     if not is_admissible(grid, A, hess=hess):
         raise NonAdmissible("bordered solve needs an admissible start")
-    P = grid.num_points
-    ones = np.ones((P, 1))
 
     def residual(cand_phi, cand_s, hess):
         return np.log(ma_density(grid, A, hess=hess)) + t * cand_phi - rhs - cand_s
@@ -426,18 +581,14 @@ def _solve_bordered(grid, A, rhs, t, tol, phi0, s0, max_newton):
     norm = float(np.abs(res).max())
     history = [norm]
     dampings = []
+    krylov = []
     for iteration in range(max_newton):
         if norm <= tol:
-            return phi, s, iteration, dampings, history
-        lin = log_ma_linearization(grid, A, hess=hess)
-        jac = sp.bmat(
-            [[lin + t * sp.identity(P), -ones], [ones.T / P, None]],
-            format="csc",
+            return phi, s, iteration, dampings, history, krylov
+        delta, delta_s, its = _newton_direction(
+            grid, A, hess, res, tol, t=t, mean=phi.mean()
         )
-        full_res = np.concatenate([res.ravel(), [phi.mean()]])
-        sol = spsolve(jac, -full_res)
-        delta = sol[:P].reshape(grid.shape)
-        delta_s = float(sol[P])
+        krylov.append(its)
 
         alpha = 1.0
         accepted = False
@@ -537,7 +688,7 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         phi0 = np.zeros(grid.shape)
         if warm_start is not None and is_admissible(grid, A, warm_start):
             phi0 = np.asarray(warm_start, dtype=float)
-        phi, iters, dampings, history = _solve_monotone(
+        phi, iters, dampings, history, krylov = _solve_monotone(
             grid, A, rhs, inner_tol, phi0, max_newton
         )
         report = SolveReport(
@@ -546,6 +697,7 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
             damping_factors=dampings,
             residual=float("nan"),
             residual_history=history,
+            krylov_iterations=krylov,
         )
         return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
@@ -556,7 +708,7 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         phi0 = phi0 - phi0.mean()
         s0 = float((np.log(ma_density(grid, A, phi0)) + phi0 - rhs).mean())
         try:
-            phi, s, iters, dampings, history = _solve_bordered(
+            phi, s, iters, dampings, history, krylov = _solve_bordered(
                 grid, A, rhs, 1.0, inner_tol, phi0, s0, max_newton=20
             )
             report = SolveReport(
@@ -566,6 +718,7 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
                 residual=float("nan"),
                 continuity_trace=[(1.0, iters)],
                 residual_history=history,
+                krylov_iterations=krylov,
             )
             return _finalize(
                 geom, index, g, phi, norm_mode, tol_inner, report
@@ -606,20 +759,22 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     trace = []
     total_iters = 0
     all_dampings = []
+    all_krylov = []
     # t = 0 rung: the Calabi-Yau-type equation, solvable from zero.
-    phi, s, iters, dampings, history = _solve_bordered(
+    phi, s, iters, dampings, history, krylov = _solve_bordered(
         grid, A, rhs, 0.0, inner_tol, np.zeros(grid.shape), 0.0, max_newton
     )
     trace.append((0.0, iters))
     total_iters += iters
     all_dampings.extend(dampings)
+    all_krylov.extend(krylov)
 
     t_cur = 0.0
     dt = 0.1
     while t_cur < 1.0:
         t_try = min(1.0, t_cur + dt)
         try:
-            phi_new, s_new, iters, dampings, history = _solve_bordered(
+            phi_new, s_new, iters, dampings, history, krylov = _solve_bordered(
                 grid, A, rhs, t_try, inner_tol, phi, s, max_newton
             )
         except (NoConvergence, NonAdmissibleStep):
@@ -637,6 +792,7 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         trace.append((t_try, iters))
         total_iters += iters
         all_dampings.extend(dampings)
+        all_krylov.extend(krylov)
         dt = min(dt * 2.0, 0.25)
 
     report = SolveReport(
@@ -646,6 +802,7 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         residual=float("nan"),
         continuity_trace=trace,
         residual_history=history,
+        krylov_iterations=all_krylov,
     )
     return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
@@ -664,7 +821,7 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
     if rho.min() <= 0.0 or not np.all(np.isfinite(rho)):
         raise ValueError("target density must be positive and finite")
     inner_tol = 0.25 * tol_inner
-    phi, s, iters, dampings, history = _solve_bordered(
+    phi, s, iters, dampings, history, krylov = _solve_bordered(
         grid, A, np.log(rho), 0.0, inner_tol, np.zeros(grid.shape), 0.0,
         max_newton,
     )
@@ -683,6 +840,7 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
         residual=residual,
         residual_history=history,
         c=c,
+        krylov_iterations=krylov,
     )
     potential = AdmissiblePotential(index=0, psi=phi, hess=hess)
     return potential, c, report

@@ -5,10 +5,9 @@ from coupled_ricci import (
     PeriodicGrid,
     hessian,
     read_field,
-    solve_mean_zero_linear,
     write_field,
 )
-from coupled_ricci.errors import NoConvergence, ParseError, UnsupportedDimension
+from coupled_ricci.errors import ParseError, UnsupportedDimension
 
 
 def test_grid_rejects_bad_sizes():
@@ -91,46 +90,6 @@ def test_hessian_of_axis_function_has_no_mixed_part():
     np.testing.assert_allclose(h.mixed_plus, 0.0, atol=1e-12)
     np.testing.assert_allclose(h.mixed_minus, 0.0, atol=1e-12)
     np.testing.assert_allclose(h.diag[1], 0.0, atol=1e-12)
-
-
-def test_mean_zero_solve_matches_fourier_eigenvalue():
-    # single Fourier mode: D^2 u = -mu u with mu = 2(1-cos(2 pi m h))/h^2
-    g = PeriodicGrid(1, 16)
-    x = g.coords()[0]
-    m = 3
-    rhs = np.cos(2 * np.pi * m * x)
-    mu = 2.0 * (1.0 - np.cos(2 * np.pi * m * g.h)) / g.h**2
-    sol = solve_mean_zero_linear(g, lambda v: g.second_diff(v, 0), rhs)
-    np.testing.assert_allclose(sol, -rhs / mu, rtol=0, atol=1e-12)
-
-
-def test_mean_zero_solve_residual_and_mean_contracts():
-    rng = np.random.default_rng(2)
-    g = PeriodicGrid(2, 8)
-    rhs = rng.standard_normal(g.shape)
-    rhs -= rhs.mean()
-
-    def apply_op(v):
-        return g.second_diff(v, 0) + g.second_diff(v, 1) - v
-
-    sol = solve_mean_zero_linear(g, apply_op, rhs, rel_tol=1e-12)
-    res = apply_op(sol) - rhs
-    assert np.abs(res).max() <= 1e-10 * np.abs(rhs).max()
-    assert abs(sol.mean()) <= 1e-12 * max(1.0, np.abs(sol).max())
-
-
-def test_mean_zero_solve_zero_rhs():
-    g = PeriodicGrid(1, 8)
-    sol = solve_mean_zero_linear(g, lambda v: g.second_diff(v, 0), np.zeros(8))
-    np.testing.assert_array_equal(sol, 0.0)
-
-
-def test_mean_zero_solve_rejects_wrong_sign_operator():
-    g = PeriodicGrid(1, 8)
-    x = g.coords()[0]
-    rhs = np.sin(2 * np.pi * x)
-    with pytest.raises(NoConvergence):
-        solve_mean_zero_linear(g, lambda v: -g.second_diff(v, 0), rhs)
 
 
 def test_field_file_round_trip_is_bit_exact(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from coupled_ricci import monge_ampere
 from coupled_ricci import (
     BackgroundGeometry,
     PeriodicGrid,
@@ -18,6 +20,7 @@ from coupled_ricci import (
 )
 from coupled_ricci.errors import (
     ContinuityBreakdown,
+    NoConvergence,
     NonAdmissible,
     UnsupportedDimension,
     ValidationError,
@@ -235,6 +238,124 @@ def test_newton_step_bordered_form():
     res1 = np.abs(np.log(ma_density(g, A, phi1)) + phi1 - rhs - s1).max()
     assert res1 < 0.2 * res0
     assert abs(phi1.mean()) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# matrix-free Newton systems against the assembled reference
+
+
+def _random_admissible(n, N, seed):
+    rng = np.random.default_rng(seed)
+    g = PeriodicGrid(n, N)
+    A = np.array([[1.5]]) if n == 1 else np.array([[1.5, 0.3], [0.3, 1.2]])
+    # grid-scale noise whose Hessian entries are O(0.1), so the
+    # coefficients of L vary from point to point
+    phi = 0.2 + 0.05 * g.h**2 * rng.standard_normal(g.shape)
+    assert is_admissible(g, A, phi)
+    return g, A, phi, rng
+
+
+def _assembled_system(g, A, phi, t):
+    lin = log_ma_linearization(g, A, phi)
+    P = g.num_points
+    if t is None:
+        return lin - sp.identity(P)
+    ones = np.ones((P, 1))
+    return sp.bmat([[lin + t * sp.identity(P), -ones], [ones.T / P, None]])
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("t", [None, 0.0, 0.7])
+def test_matrix_free_operator_matches_assembled_jacobian(n, N, t):
+    g, A, phi, rng = _random_admissible(n, N, 20)
+    operator, _, _ = monge_ampere._newton_operators(g, A, hessian(g, phi), t)
+    ref = _assembled_system(g, A, phi, t)
+    for _ in range(3):
+        x = rng.standard_normal(ref.shape[1])
+        want = ref @ x
+        got = operator @ x
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("t", [None, 0.0, 1.0])
+def test_krylov_direction_matches_newton_step(n, N, t):
+    # t = 0 exercises the zero-mode block of the bordered preconditioner
+    g, A, phi, rng = _random_admissible(n, N, 21)
+    rhs = 0.1 * rng.standard_normal(g.shape)
+    hess = hessian(g, phi)
+    log_dens = np.log(ma_density(g, A, hess=hess))
+    if t is None:
+        res = log_dens - phi - rhs
+        want, want_s, _ = newton_step(g, A, -1, rhs, phi)
+        got, got_s, its = monge_ampere._newton_direction(g, A, hess, res, 2.5e-11)
+    else:
+        s = 0.05
+        res = log_dens + t * phi - rhs - s
+        want, want_s, _ = newton_step(g, A, 1, rhs, phi, s=s, t=t)
+        got, got_s, its = monge_ampere._newton_direction(
+            g, A, hess, res, 2.5e-11, t=t, mean=phi.mean()
+        )
+    assert its > 0
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    assert got_s == pytest.approx(want_s, rel=0, abs=1e-10 * max(1.0, abs(want_s)))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_constant_shifted_warm_start_takes_one_newton_step(eps):
+    # As in an outer sweep of a stiff problem: the warm start is the sup-gauge
+    # solution of a slice whose coupling differs by eps, so the residual is a
+    # constant of about log(1000) plus an O(eps) remainder.  The exact
+    # constant-mode solve removes the constant in one Newton step; a relative
+    # Krylov tolerance alone would leave about 1e-10 of it behind.
+    g = PeriodicGrid(1, 64)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1000.0]]]), f=f)
+    pot, _ = solve_tke(geom, 0, np.zeros(64))
+    _, rep = solve_tke(
+        geom, 0, eps * np.cos(2 * np.pi * x), warm_start=pot.psi
+    )
+    assert rep.residual_history[0] > 1.0
+    assert rep.newton_iterations == 1
+    assert rep.damping_factors == [1.0]
+
+
+def test_unconverged_krylov_solve_raises(monkeypatch):
+    def stalled(operator, rhs, **_kwargs):
+        return np.zeros_like(rhs), 7
+
+    def no_line_search(*_args, **_kwargs):
+        raise AssertionError("unconverged direction reached the line search")
+
+    monkeypatch.setattr(monge_ampere, "gmres", stalled)
+    monkeypatch.setattr(monge_ampere, "_line_search", no_line_search)
+    g = PeriodicGrid(1, 16)
+    x = g.coords()[0]
+    geom = BackgroundGeometry(
+        grid=g, lam=-1, A=np.array([[[1.0]]]), f=np.exp(0.3 * np.sin(2 * np.pi * x))
+    )
+    with pytest.raises(NoConvergence) as err:
+        solve_tke(geom, 0, np.zeros(16))
+    text = str(err.value)
+    assert "linear solve" in text
+    assert "iterations" in text
+    assert "relative residual 1.000e+00" in text
+
+
+def test_report_counts_krylov_iterations_per_newton_step():
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.3 * np.sin(2 * np.pi * x)
+    neg = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
+    _, rep = solve_tke(neg, 0, np.zeros(32))
+    assert len(rep.krylov_iterations) == rep.newton_iterations > 0
+    assert all(its > 0 for its in rep.krylov_iterations)
+    pos = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
+    _, rep = continuity_solve(pos, 0, np.zeros(32))
+    assert len(rep.continuity_trace) > 1
+    assert len(rep.krylov_iterations) == len(rep.damping_factors)
+    assert len(rep.krylov_iterations) == rep.newton_iterations
 
 
 # ---------------------------------------------------------------------------
