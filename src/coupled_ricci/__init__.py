@@ -29,7 +29,6 @@ from .iteration import (
     check_monotone,
     run,
     step_gauss_seidel,
-    step_jacobi,
 )
 from .monge_ampere import (
     AdmissiblePotential,
@@ -40,7 +39,6 @@ from .monge_ampere import (
     is_admissible,
     log_ma_linearization,
     ma_density,
-    mixed_discriminant,
     newton_step,
     solve_calabi_yau,
     solve_tke,
@@ -87,7 +85,6 @@ __all__ = [
     "load_config_file",
     "log_ma_linearization",
     "ma_density",
-    "mixed_discriminant",
     "newton_step",
     "oracle_ding_descent",
     "oracle_fixed_point",
@@ -97,6 +94,5 @@ __all__ = [
     "solve_calabi_yau",
     "solve_tke",
     "step_gauss_seidel",
-    "step_jacobi",
     "write_field",
 ]

@@ -78,16 +78,10 @@ def _write_run_outputs(out_dir, cfg: RunConfig, state) -> None:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 
-    grid = cfg.grid
-    fields = {}
     for i in range(cfg.k):
-        write_field(os.path.join(out_dir, f"psi_{i + 1}.field"), grid, state.psis[i])
-        fields[f"psi_{i + 1}"] = [
-            float(v) for v in state.psis[i].ravel(order="C")
-        ]
-    with open(os.path.join(out_dir, "fields.json"), "w") as fh:
-        json.dump(fields, fh)
-        fh.write("\n")
+        write_field(
+            os.path.join(out_dir, f"psi_{i + 1}.field"), cfg.grid, state.psis[i]
+        )
 
     rho_cols = [name for name in state.ledger.columns if name.startswith("rho_max_")]
     with open(os.path.join(out_dir, "ding.dat"), "w") as fh:

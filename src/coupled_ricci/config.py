@@ -22,7 +22,7 @@ SCHEMA_VERSION = 1
 _KNOWN_KEYS = {
     "cri_config", "name", "lambda", "n", "N", "k", "A", "f", "init",
     "mode", "norm_mode", "sweep_order", "tol_fixed_point", "tol_inner",
-    "max_outer", "max_newton", "record_every", "seed", "out",
+    "max_outer", "max_newton", "record_every", "out",
 }
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -112,7 +112,6 @@ class RunConfig:
     max_outer: int = 200
     max_newton: int = 40
     record_every: int = 1
-    seed: int | None = None
     out: str | None = None
 
     @property
@@ -321,10 +320,6 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
     max_newton = positive_int("max_newton", 40)
     record_every = positive_int("record_every", 1)
 
-    seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        problems.append(f"seed must be an integer or null, got {seed!r}")
-        seed = None
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         problems.append(f"out must be a string path, got {out!r}")
@@ -351,6 +346,5 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
         max_outer=max_outer,
         max_newton=max_newton,
         record_every=record_every,
-        seed=seed,
         out=out,
     )

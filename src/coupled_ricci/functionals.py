@@ -46,6 +46,10 @@ def _require_admissible(grid, A, hess, what):
         raise NonAdmissible(f"{what} needs an admissible potential")
 
 
+def _hessians(grid, psis) -> list:
+    return [hessian(grid, psi) for psi in psis]
+
+
 def _mixed_with_background(A, hess):
     """Mixed discriminant D(H, A) of the centered Hessian with A (n=2)."""
     q = hess.mixed_centered
@@ -124,6 +128,10 @@ def ricci_potentials(geom: BackgroundGeometry, psis) -> np.ndarray:
     integrate(exp(rho_i) * ma_density_i) = V_i exactly.
     """
     psis = np.asarray(psis, dtype=float)
+    return _ricci_potentials(geom, psis, _hessians(geom.grid, psis))
+
+
+def _ricci_potentials(geom, psis, hessians) -> np.ndarray:
     grid = geom.grid
     total = psis.sum(axis=0)
     weight = np.exp(-geom.lam * total) * geom.f
@@ -131,8 +139,7 @@ def ricci_potentials(geom: BackgroundGeometry, psis) -> np.ndarray:
     z = grid.integrate(weight)
     vols = geom.volumes
     rhos = np.empty_like(psis)
-    for i in range(geom.k):
-        hess = hessian(grid, psis[i])
+    for i, hess in enumerate(hessians):
         _require_admissible(grid, geom.A[i], hess, "ricci_potentials")
         dens = ma_density(grid, geom.A[i], hess=hess)
         rhos[i] = np.log(vols[i]) + log_weight - np.log(z) - np.log(dens)
@@ -164,9 +171,8 @@ def ding_first_variation(geom: BackgroundGeometry, psis, deltas) -> float:
     return total
 
 
-def _equivalence_ratio(grid, A, psi) -> float:
+def _equivalence_ratio(grid, A, hess) -> float:
     """Spread of the generalized eigenvalues of (A + D^2 psi, A)."""
-    hess = hessian(grid, psi)
     _require_admissible(grid, A, hess, "diagnostics")
     if grid.n == 1:
         vals = (A[0, 0] + hess.diag[0]) / A[0, 0]
@@ -186,9 +192,14 @@ def _equivalence_ratio(grid, A, psi) -> float:
 def diagnostics(geom: BackgroundGeometry, psis) -> dict:
     """Per-class oscillation and metric-equivalence ratios."""
     psis = np.asarray(psis, dtype=float)
+    return _diagnostics(geom, psis, _hessians(geom.grid, psis))
+
+
+def _diagnostics(geom, psis, hessians) -> dict:
     osc = np.array([float(p.max() - p.min()) for p in psis])
     ratios = np.array(
-        [_equivalence_ratio(geom.grid, geom.A[i], psis[i]) for i in range(geom.k)]
+        [_equivalence_ratio(geom.grid, geom.A[i], hess)
+         for i, hess in enumerate(hessians)]
     )
     return {"osc": osc, "eq_ratio": ratios}
 
@@ -220,37 +231,25 @@ class EnergyLedger:
         psis = np.asarray(psis, dtype=float)
         grid = geom.grid
         vols = geom.volumes
+        hessians = _hessians(grid, psis)
         am = np.empty(geom.k)
         ivals = np.empty(geom.k)
         jvals = np.empty(geom.k)
-        for i in range(geom.k):
-            hess = hessian(grid, psis[i])
+        for i, hess in enumerate(hessians):
             am[i] = am_energy(grid, geom.A[i], psis[i], hess=hess)
             ivals[i] = i_functional(grid, geom.A[i], psis[i], hess=hess)
             jvals[i] = j_functional(grid, geom.A[i], psis[i], hess=hess)
         lval = l_functional(geom, psis)
         dval = lval - float((am / vols).sum())
-        rhos = ricci_potentials(geom, psis)
+        rhos = _ricci_potentials(geom, psis, hessians)
         rho_max = np.abs(rhos).reshape(geom.k, -1).max(axis=1)
-        diag = diagnostics(geom, psis)
-        row = {"step": int(step)}
-        for i in range(geom.k):
-            row[f"AM_{i + 1}"] = am[i]
-        for i in range(geom.k):
-            row[f"I_{i + 1}"] = ivals[i]
-        for i in range(geom.k):
-            row[f"J_{i + 1}"] = jvals[i]
-        row["L"] = lval
-        row["D"] = dval
-        row["J_total"] = float(jvals.sum())
-        for i in range(geom.k):
-            row[f"rho_max_{i + 1}"] = rho_max[i]
-        for i in range(geom.k):
-            row[f"osc_{i + 1}"] = diag["osc"][i]
-        for i in range(geom.k):
-            row[f"eqratio_{i + 1}"] = diag["eq_ratio"][i]
-        row["inner_iters"] = int(inner_iters)
-        row["wall_ms"] = float(wall_ms)
+        diag = _diagnostics(geom, psis, hessians)
+        values = [
+            int(step), *am, *ivals, *jvals, lval, dval, float(jvals.sum()),
+            *rho_max, *diag["osc"], *diag["eq_ratio"],
+            int(inner_iters), float(wall_ms),
+        ]
+        row = dict(zip(self.columns, values, strict=True))
         self.rows.append(row)
         return row
 

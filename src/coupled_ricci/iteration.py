@@ -1,9 +1,9 @@
 """Outer relaxation loop for the coupled fixed-point system.
 
-Gauss-Seidel sweeps refresh each potential against the newest partners;
-Jacobi sweeps freeze the partners for a whole sweep.  Energy descent is
-only guaranteed for Gauss-Seidel, which is why only that mode feeds the
-monotonicity checker.
+One sweep function serves both modes: Gauss-Seidel refreshes each
+potential against the newest partners; Jacobi freezes the partners for
+the whole sweep.  Energy descent is only guaranteed for Gauss-Seidel,
+which is why only that mode feeds the monotonicity checker.
 """
 
 from __future__ import annotations
@@ -84,15 +84,19 @@ def _class_order(k: int, sweep_order: str):
 
 
 def step_gauss_seidel(geom, psis, config: IterationConfig):
-    """One Gauss-Seidel sweep; returns (new tuple, total inner iterations).
+    """One sweep over the classes; returns (new tuple, total inner iterations).
 
-    Inner-solver errors are re-raised with the failing class index
-    attached as ``slice_index``.
+    In Gauss-Seidel mode each slice is coupled to the newest partners; in
+    Jacobi mode (``config.mode == "jacobi"``) every slice reads its
+    partners from the previous tuple.  Inner-solver errors are re-raised
+    with the failing class index attached as ``slice_index``.
     """
-    current = np.array(psis, dtype=float, copy=True)
+    previous = np.asarray(psis, dtype=float)
+    current = previous.copy()
+    partners = previous if config.mode == "jacobi" else current
     inner_iters = 0
     for i in _class_order(geom.k, config.sweep_order):
-        g = current.sum(axis=0) - current[i]
+        g = partners.sum(axis=0) - partners[i]
         try:
             pot, report = solve_tke(
                 geom, i, g,
@@ -107,30 +111,6 @@ def step_gauss_seidel(geom, psis, config: IterationConfig):
         current[i] = pot.psi
         inner_iters += report.newton_iterations
     return current, inner_iters
-
-
-def step_jacobi(geom, psis, config: IterationConfig):
-    """One Jacobi sweep: every slice sees only the previous tuple."""
-    previous = np.asarray(psis, dtype=float)
-    updated = np.empty_like(previous)
-    total = previous.sum(axis=0)
-    inner_iters = 0
-    for i in _class_order(geom.k, config.sweep_order):
-        g = total - previous[i]
-        try:
-            pot, report = solve_tke(
-                geom, i, g,
-                tol_inner=config.tol_inner,
-                max_newton=config.max_newton,
-                norm_mode=config.norm_mode,
-                warm_start=previous[i],
-            )
-        except CoupledRicciError as exc:
-            exc.slice_index = i
-            raise
-        updated[i] = pot.psi
-        inner_iters += report.newton_iterations
-    return updated, inner_iters
 
 
 def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
@@ -161,7 +141,6 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     state = IterationState(
         geom=geom, config=config, psis=psis, ledger=EnergyLedger(geom.k)
     )
-    step_fn = step_gauss_seidel if config.mode == "gauss_seidel" else step_jacobi
 
     t_start = time.perf_counter()
     if bool(tuple0.admissible.all()):
@@ -186,7 +165,7 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     for step in range(1, config.max_outer + 1):
         t_step = time.perf_counter()
         try:
-            psis, inner_iters = step_fn(geom, psis, config)
+            psis, inner_iters = step_gauss_seidel(geom, psis, config)
         except _INNER_ERRORS as exc:
             state.converged = False
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"

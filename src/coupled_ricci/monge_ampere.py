@@ -21,7 +21,6 @@ from .errors import (
     NoConvergence,
     NonAdmissible,
     NonAdmissibleStep,
-    UnsupportedDimension,
     ValidationError,
 )
 from .grid import HessianField, PeriodicGrid, hessian
@@ -98,45 +97,6 @@ class BackgroundGeometry:
 
 
 # ---------------------------------------------------------------------------
-# mixed discriminants
-
-
-def _det(mat: np.ndarray) -> float:
-    return float(np.linalg.det(mat))
-
-
-def mixed_discriminant(mats) -> float:
-    """Mixed discriminant of n symmetric n-by-n matrices by polarization.
-
-    Fully symmetric and multilinear, normalized so that all arguments
-    equal gives back the plain determinant.  Supports n <= 3.
-    """
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    n = len(mats)
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError(
-                f"expected {n} matrices of shape ({n}, {n}), got {m.shape}"
-            )
-        if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("mixed discriminant needs symmetric inputs")
-    if n == 1:
-        return float(mats[0][0, 0])
-    if n == 2:
-        a, b = mats
-        return 0.5 * (_det(a + b) - _det(a) - _det(b))
-    if n == 3:
-        a, b, c = mats
-        total = _det(a + b + c)
-        pairs = _det(a + b) + _det(a + c) + _det(b + c)
-        singles = _det(a) + _det(b) + _det(c)
-        return (total - pairs + singles) / 6.0
-    raise UnsupportedDimension(
-        f"mixed discriminants implemented for n <= 3, got n={n}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # densities and admissibility
 
 
@@ -198,16 +158,6 @@ class AdmissiblePotential:
     psi: np.ndarray
     hess: HessianField
 
-    @classmethod
-    def create(cls, grid, A, index, psi):
-        psi = np.asarray(psi, dtype=float)
-        hess = hessian(grid, psi)
-        if not is_admissible(grid, A, hess=hess):
-            raise NonAdmissible(
-                f"potential for class {index + 1} leaves the positivity cone"
-            )
-        return cls(index=index, psi=psi, hess=hess)
-
 
 @dataclass
 class SolveReport:
@@ -215,17 +165,28 @@ class SolveReport:
 
     ``damping_factors`` and ``krylov_iterations`` hold one entry per
     Newton step: the accepted line-search factor, and the preconditioner
-    applications of that step's GMRES solve.
+    applications of that step's GMRES solve.  On a continuity path these
+    two lists and ``newton_iterations`` span all rungs, and
+    ``continuity_trace`` lists (t, Newton steps) per rung; the
+    ``residual_history`` holds the last rung only.
     """
 
-    outcome: str
-    newton_iterations: int
-    damping_factors: list
-    residual: float
+    outcome: str = "converged"
+    newton_iterations: int = 0
+    damping_factors: list = field(default_factory=list)
+    residual: float = float("nan")
     continuity_trace: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
     c: float = float("nan")
     krylov_iterations: list = field(default_factory=list)
+
+    def append_rung(self, t, rung: SolveReport) -> None:
+        """Fold the report of the continuity rung at ``t`` into this one."""
+        self.newton_iterations += rung.newton_iterations
+        self.damping_factors.extend(rung.damping_factors)
+        self.krylov_iterations.extend(rung.krylov_iterations)
+        self.residual_history = rung.residual_history
+        self.continuity_trace.append((t, rung.newton_iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +472,10 @@ def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0):
 
 
 # ---------------------------------------------------------------------------
-# damped Newton iterations
+# damped Newton driver
 
 
-def _line_search(grid, A, phi, delta, res_norm, eval_residual):
+def _line_search(grid, A, phi, s, delta, delta_s, res_norm, residual):
     """Backtrack until the iterate stays admissible and the residual drops."""
     alpha = 1.0
     saw_admissible = False
@@ -523,10 +484,11 @@ def _line_search(grid, A, phi, delta, res_norm, eval_residual):
         hess = hessian(grid, cand)
         if is_admissible(grid, A, hess=hess):
             saw_admissible = True
-            res = eval_residual(cand, hess)
+            cand_s = s + alpha * delta_s
+            res = residual(cand, cand_s, hess)
             norm = float(np.abs(res).max())
             if norm <= (1.0 - 0.25 * alpha) * res_norm:
-                return cand, hess, res, norm, alpha
+                return cand, cand_s, hess, res, norm, alpha
         alpha *= 0.5
     if not saw_admissible:
         raise NonAdmissibleStep(
@@ -535,47 +497,34 @@ def _line_search(grid, A, phi, delta, res_norm, eval_residual):
     raise NoConvergence("Newton line search failed to reduce the residual")
 
 
-def _solve_monotone(grid, A, rhs, tol, phi0, max_newton):
-    """Damped Newton for log ma_density(phi) - phi - rhs = 0 (lam = -1)."""
+def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
+    """Damped Newton for one slice equation in log form.
 
-    def eval_residual(cand, hess):
-        return np.log(ma_density(grid, A, hess=hess)) - cand - rhs
+    With ``t`` None it solves the lam=-1 form
 
+        log ma_density(A, phi) - phi - rhs = 0
+
+    and s stays 0.  Otherwise it solves the bordered rung equation
+
+        log ma_density(A, phi) + t*phi - rhs - s = 0,  mean phi = 0,
+
+    with the constant s as an extra unknown started at ``s0``.  Returns
+    (phi, s, SolveReport).
+    """
+    form = "monotone" if t is None else "bordered"
     phi = np.asarray(phi0, dtype=float).copy()
-    hess = hessian(grid, phi)
-    if not is_admissible(grid, A, hess=hess):
-        raise NonAdmissible("monotone solve needs an admissible start")
-    res = eval_residual(phi, hess)
-    norm = float(np.abs(res).max())
-    history = [norm]
-    dampings = []
-    krylov = []
-    for iteration in range(max_newton):
-        if norm <= tol:
-            return phi, iteration, dampings, history, krylov
-        delta, _, its = _newton_direction(grid, A, hess, res, tol)
-        krylov.append(its)
-        phi, hess, res, norm, alpha = _line_search(
-            grid, A, phi, delta, norm, eval_residual
-        )
-        dampings.append(alpha)
-        history.append(norm)
-    raise NoConvergence(
-        f"monotone Newton stalled at residual {norm:.3e} after {max_newton} iterations"
-    )
-
-
-def _solve_bordered(grid, A, rhs, t, tol, phi0, s0, max_newton):
-    """Damped Newton for log ma_density + t*phi - rhs - s = 0, mean phi = 0."""
-    phi = np.asarray(phi0, dtype=float).copy()
-    phi = phi - phi.mean()
+    if t is not None:
+        phi = phi - phi.mean()
     s = float(s0)
     hess = hessian(grid, phi)
     if not is_admissible(grid, A, hess=hess):
-        raise NonAdmissible("bordered solve needs an admissible start")
+        raise NonAdmissible(f"{form} solve needs an admissible start")
 
-    def residual(cand_phi, cand_s, hess):
-        return np.log(ma_density(grid, A, hess=hess)) + t * cand_phi - rhs - cand_s
+    def residual(cand, cand_s, cand_hess):
+        log_dens = np.log(ma_density(grid, A, hess=cand_hess))
+        if t is None:
+            return log_dens - cand - rhs
+        return log_dens + t * cand - rhs - cand_s
 
     res = residual(phi, s, hess)
     norm = float(np.abs(res).max())
@@ -584,41 +533,22 @@ def _solve_bordered(grid, A, rhs, t, tol, phi0, s0, max_newton):
     krylov = []
     for iteration in range(max_newton):
         if norm <= tol:
-            return phi, s, iteration, dampings, history, krylov
+            report = SolveReport(
+                newton_iterations=iteration, damping_factors=dampings,
+                residual_history=history, krylov_iterations=krylov,
+            )
+            return phi, s, report
         delta, delta_s, its = _newton_direction(
             grid, A, hess, res, tol, t=t, mean=phi.mean()
         )
         krylov.append(its)
-
-        alpha = 1.0
-        accepted = False
-        saw_admissible = False
-        for _ in range(_MAX_HALVINGS):
-            cand_phi = phi + alpha * delta
-            cand_s = s + alpha * delta_s
-            cand_hess = hessian(grid, cand_phi)
-            if is_admissible(grid, A, hess=cand_hess):
-                saw_admissible = True
-                cand_res = residual(cand_phi, cand_s, cand_hess)
-                cand_norm = float(np.abs(cand_res).max())
-                if cand_norm <= (1.0 - 0.25 * alpha) * norm:
-                    phi, s, hess = cand_phi, cand_s, cand_hess
-                    res, norm = cand_res, cand_norm
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            if not saw_admissible:
-                raise NonAdmissibleStep(
-                    "no damping factor keeps the bordered iterate admissible"
-                )
-            raise NoConvergence(
-                "bordered Newton line search failed to reduce the residual"
-            )
+        phi, s, hess, res, norm, alpha = _line_search(
+            grid, A, phi, s, delta, delta_s, norm, residual
+        )
         dampings.append(alpha)
         history.append(norm)
     raise NoConvergence(
-        f"bordered Newton stalled at residual {norm:.3e} after {max_newton} iterations"
+        f"{form} Newton stalled at residual {norm:.3e} after {max_newton} iterations"
     )
 
 
@@ -684,20 +614,11 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     log_f = np.log(geom.f)
 
     if geom.lam == -1:
-        rhs = g + log_f
         phi0 = np.zeros(grid.shape)
         if warm_start is not None and is_admissible(grid, A, warm_start):
             phi0 = np.asarray(warm_start, dtype=float)
-        phi, iters, dampings, history, krylov = _solve_monotone(
-            grid, A, rhs, inner_tol, phi0, max_newton
-        )
-        report = SolveReport(
-            outcome="converged",
-            newton_iterations=iters,
-            damping_factors=dampings,
-            residual=float("nan"),
-            residual_history=history,
-            krylov_iterations=krylov,
+        phi, _, report = _damped_newton(
+            grid, A, g + log_f, inner_tol, phi0, max_newton
         )
         return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
@@ -708,18 +629,11 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         phi0 = phi0 - phi0.mean()
         s0 = float((np.log(ma_density(grid, A, phi0)) + phi0 - rhs).mean())
         try:
-            phi, s, iters, dampings, history, krylov = _solve_bordered(
-                grid, A, rhs, 1.0, inner_tol, phi0, s0, max_newton=20
+            phi, _, report = _damped_newton(
+                grid, A, rhs, inner_tol, phi0, min(max_newton, 20),
+                t=1.0, s0=s0,
             )
-            report = SolveReport(
-                outcome="converged",
-                newton_iterations=iters,
-                damping_factors=dampings,
-                residual=float("nan"),
-                continuity_trace=[(1.0, iters)],
-                residual_history=history,
-                krylov_iterations=krylov,
-            )
+            report.continuity_trace = [(1.0, report.newton_iterations)]
             return _finalize(
                 geom, index, g, phi, norm_mode, tol_inner, report
             )
@@ -739,14 +653,16 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
                      norm_mode="sup"):
     """Reach the lam=+1 slice solution along the parameter path t: 0 -> 1.
 
-    Each rung solves log ma_density + t*psi = t*(log f - g) + (1-t)*0 ...
-    more precisely the homotopy keeps the full right-hand side and
-    scales only the zeroth-order coefficient:
+    The right-hand side stays fixed and only the zeroth-order coefficient
+    moves with t.  Each rung solves
 
-        log ma_density(A_i, phi) + t * phi = log f - g + s,  mean phi = 0.
+        log ma_density(A_i, phi) + t * phi = log f - g + s,  mean phi = 0,
 
-    The step starts at 0.1, doubles after success (capped), halves on
-    failure, and aborts with ContinuityBreakdown below 1e-4.
+    for (phi, s), starting from the previous rung.  At t = 0 this is the
+    Calabi-Yau-type equation, solved from zero; t = 1 is the slice
+    equation.  The step starts at 0.1, doubles after success (capped at
+    0.25), halves on failure, and aborts with ContinuityBreakdown below
+    1e-4.
     """
     if geom.lam != 1:
         raise ValueError("continuity path applies to lam = +1 problems")
@@ -756,26 +672,19 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     rhs = np.log(geom.f) - g
     inner_tol = 0.25 * tol_inner
 
-    trace = []
-    total_iters = 0
-    all_dampings = []
-    all_krylov = []
-    # t = 0 rung: the Calabi-Yau-type equation, solvable from zero.
-    phi, s, iters, dampings, history, krylov = _solve_bordered(
-        grid, A, rhs, 0.0, inner_tol, np.zeros(grid.shape), 0.0, max_newton
+    report = SolveReport()
+    phi, s, rung = _damped_newton(
+        grid, A, rhs, inner_tol, np.zeros(grid.shape), max_newton, t=0.0
     )
-    trace.append((0.0, iters))
-    total_iters += iters
-    all_dampings.extend(dampings)
-    all_krylov.extend(krylov)
+    report.append_rung(0.0, rung)
 
     t_cur = 0.0
     dt = 0.1
     while t_cur < 1.0:
         t_try = min(1.0, t_cur + dt)
         try:
-            phi_new, s_new, iters, dampings, history, krylov = _solve_bordered(
-                grid, A, rhs, t_try, inner_tol, phi, s, max_newton
+            phi, s, rung = _damped_newton(
+                grid, A, rhs, inner_tol, phi, max_newton, t=t_try, s0=s
             )
         except (NoConvergence, NonAdmissibleStep):
             dt *= 0.5
@@ -784,26 +693,12 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
                     f"continuity path for class {index + 1} stalled at "
                     f"t = {t_cur:.6f} with step below 1e-4",
                     last_good_t=t_cur,
-                    trace=trace,
+                    trace=report.continuity_trace,
                 )
             continue
-        phi, s = phi_new, s_new
         t_cur = t_try
-        trace.append((t_try, iters))
-        total_iters += iters
-        all_dampings.extend(dampings)
-        all_krylov.extend(krylov)
+        report.append_rung(t_try, rung)
         dt = min(dt * 2.0, 0.25)
-
-    report = SolveReport(
-        outcome="converged",
-        newton_iterations=total_iters,
-        damping_factors=all_dampings,
-        residual=float("nan"),
-        continuity_trace=trace,
-        residual_history=history,
-        krylov_iterations=all_krylov,
-    )
     return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
 
@@ -820,10 +715,9 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
         raise ValueError("target density has wrong shape")
     if rho.min() <= 0.0 or not np.all(np.isfinite(rho)):
         raise ValueError("target density must be positive and finite")
-    inner_tol = 0.25 * tol_inner
-    phi, s, iters, dampings, history, krylov = _solve_bordered(
-        grid, A, np.log(rho), 0.0, inner_tol, np.zeros(grid.shape), 0.0,
-        max_newton,
+    phi, _, report = _damped_newton(
+        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape),
+        max_newton, t=0.0,
     )
     hess = hessian(grid, phi)
     dens = ma_density(grid, A, hess=hess)
@@ -833,14 +727,7 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
         raise NoConvergence(
             f"volume-form residual {residual:.3e} above tol {tol_inner:.3e}"
         )
-    report = SolveReport(
-        outcome="converged",
-        newton_iterations=iters,
-        damping_factors=dampings,
-        residual=residual,
-        residual_history=history,
-        c=c,
-        krylov_iterations=krylov,
-    )
+    report.residual = residual
+    report.c = c
     potential = AdmissiblePotential(index=0, psi=phi, hess=hess)
     return potential, c, report

@@ -68,10 +68,11 @@ def test_run_writes_the_full_output_set(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "neg-k2-sine", "--out", str(out)]) == 0
     for name in (
-        "ledger.csv", "summary.json", "fields.json",
+        "ledger.csv", "summary.json",
         "psi_1.field", "psi_2.field", "ding.dat", "residual.dat",
     ):
         assert (out / name).exists(), name
+    assert not (out / "fields.json").exists()
 
     header = (out / "ledger.csv").read_text().splitlines()[0]
     assert header == (
@@ -92,18 +93,6 @@ def test_run_writes_the_full_output_set(tmp_path, capsys):
 
     assert (out / "ding.dat").read_text().splitlines()[0] == "# step D"
     assert (out / "residual.dat").read_text().splitlines()[0] == "# step rho_max"
-
-
-def test_field_files_match_fields_json(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli(["run", "neg-k2-sine-n8", "--out", str(out)]) == 0
-    fields = json.loads((out / "fields.json").read_text())
-    for i in (1, 2):
-        grid, psi = read_field(out / f"psi_{i}.field")
-        assert grid.N == 8
-        np.testing.assert_array_equal(
-            psi.ravel(order="C"), np.array(fields[f"psi_{i}"])
-        )
 
 
 def test_run_exit_two_when_step_budget_runs_out(tmp_path):
@@ -169,7 +158,7 @@ def test_repeat_runs_give_identical_outputs(tmp_path):
     out_b = tmp_path / "b"
     assert run_cli(["run", "neg-k2-sine", "--out", str(out_a)]) == 0
     assert run_cli(["run", "neg-k2-sine", "--out", str(out_b)]) == 0
-    for name in ("psi_1.field", "psi_2.field", "fields.json"):
+    for name in ("psi_1.field", "psi_2.field"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     with open(out_a / "ledger.csv") as fa, open(out_b / "ledger.csv") as fb:
         rows_a = list(csv.DictReader(fa))
@@ -226,6 +215,14 @@ def test_build_run_config_collects_all_violations():
     with pytest.raises(ValidationError) as excinfo:
         build_run_config(cfg)
     assert len(excinfo.value.violations) >= 2
+
+
+def test_seed_key_is_unknown():
+    cfg = get_preset("neg-k2-sine")
+    cfg["seed"] = 3
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == ["unknown keys: seed"]
 
 
 def test_field_entry_forms(tmp_path):

@@ -13,7 +13,6 @@ from coupled_ricci import (
     is_admissible,
     log_ma_linearization,
     ma_density,
-    mixed_discriminant,
     newton_step,
     solve_calabi_yau,
     solve_tke,
@@ -22,7 +21,6 @@ from coupled_ricci.errors import (
     ContinuityBreakdown,
     NoConvergence,
     NonAdmissible,
-    UnsupportedDimension,
     ValidationError,
 )
 
@@ -61,45 +59,6 @@ def test_geometry_volume_is_background_determinant():
     A = np.array([[[2.0, 0.5], [0.5, 1.0]]])
     geom2 = BackgroundGeometry(grid=grid, lam=-1, A=A, f=np.ones(grid.shape))
     np.testing.assert_allclose(geom2.volumes, [1.75])
-
-
-# ---------------------------------------------------------------------------
-# mixed discriminants
-
-
-def test_mixed_discriminant_identity_pair():
-    val = mixed_discriminant([np.eye(2), np.diag([2.0, 3.0])])
-    assert val == pytest.approx(2.5, abs=1e-14)
-
-
-def test_mixed_discriminant_reduces_to_determinant():
-    rng = np.random.default_rng(4)
-    for n in (1, 2, 3):
-        m = rng.standard_normal((n, n))
-        m = 0.5 * (m + m.T)
-        val = mixed_discriminant([m] * n)
-        assert val == pytest.approx(np.linalg.det(m), rel=1e-12, abs=1e-12)
-
-
-def test_mixed_discriminant_symmetric_and_multilinear():
-    rng = np.random.default_rng(5)
-    mats = [0.5 * (m + m.T) for m in rng.standard_normal((3, 3, 3))]
-    base = mixed_discriminant(mats)
-    assert mixed_discriminant(mats[::-1]) == pytest.approx(base, rel=1e-12)
-    extra = rng.standard_normal((3, 3))
-    extra = 0.5 * (extra + extra.T)
-    combined = mixed_discriminant([2.0 * mats[0] + extra, mats[1], mats[2]])
-    parts = 2.0 * base + mixed_discriminant([extra, mats[1], mats[2]])
-    assert combined == pytest.approx(parts, rel=1e-11, abs=1e-11)
-
-
-def test_mixed_discriminant_input_checks():
-    with pytest.raises(UnsupportedDimension):
-        mixed_discriminant([np.eye(4)] * 4)
-    with pytest.raises(ValueError):
-        mixed_discriminant([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        mixed_discriminant([np.array([[0.0, 1.0], [0.0, 0.0]])] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +291,16 @@ def test_unconverged_krylov_solve_raises(monkeypatch):
     monkeypatch.setattr(monge_ampere, "_line_search", no_line_search)
     g = PeriodicGrid(1, 16)
     x = g.coords()[0]
-    geom = BackgroundGeometry(
-        grid=g, lam=-1, A=np.array([[[1.0]]]), f=np.exp(0.3 * np.sin(2 * np.pi * x))
-    )
-    with pytest.raises(NoConvergence) as err:
-        solve_tke(geom, 0, np.zeros(16))
-    text = str(err.value)
-    assert "linear solve" in text
-    assert "iterations" in text
-    assert "relative residual 1.000e+00" in text
+    f = np.exp(0.3 * np.sin(2 * np.pi * x))
+    # lam = +1 without a warm start runs the bordered t = 0 rung first
+    for lam in (-1, 1):
+        geom = BackgroundGeometry(grid=g, lam=lam, A=np.array([[[1.0]]]), f=f)
+        with pytest.raises(NoConvergence) as err:
+            solve_tke(geom, 0, np.zeros(16))
+        text = str(err.value)
+        assert "linear solve" in text
+        assert "iterations" in text
+        assert "relative residual 1.000e+00" in text
 
 
 def test_report_counts_krylov_iterations_per_newton_step():
@@ -523,6 +483,23 @@ def test_positive_sign_warm_start_skips_path():
     pot2, rep2 = solve_tke(geom, 0, np.zeros(32), warm_start=pot.psi)
     assert rep2.continuity_trace == [(1.0, rep2.newton_iterations)]
     assert np.abs(pot2.psi - pot.psi).max() <= 1e-9
+
+
+def test_positive_sign_direct_solve_respects_newton_budget():
+    # the direct attempt from this warm start needs 6 Newton steps; with a
+    # budget of 4 it must give up and walk the path within that budget
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.05 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
+    warm = 0.02 * np.cos(2 * np.pi * x)
+    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
+    [(t, iters)] = rep.continuity_trace
+    assert t == 1.0 and iters > 4
+    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm, max_newton=4)
+    assert rep.continuity_trace[0][0] == 0.0
+    assert all(iters <= 4 for _, iters in rep.continuity_trace)
+    assert rep.residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------
