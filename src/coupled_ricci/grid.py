@@ -71,29 +71,37 @@ class PeriodicGrid:
             - 2.0 * values
         ) / self.h**2
 
-    def forward_skew(self, values: np.ndarray) -> np.ndarray:
-        """Mixed difference from composed forward first differences (n=2)."""
-        if self.n != 2:
-            raise ValueError("mixed differences need a 2-d grid")
-        shifted_both = np.roll(np.roll(values, -1, axis=0), -1, axis=1)
-        return (
-            shifted_both
-            - np.roll(values, -1, axis=0)
-            - np.roll(values, -1, axis=1)
-            + values
-        ) / self.h**2
+    def stencils(self, values: np.ndarray) -> list:
+        """The Hessian stencils of a field, from one periodic halo copy.
 
-    def backward_skew(self, values: np.ndarray) -> np.ndarray:
-        """Mixed difference from composed backward first differences (n=2)."""
-        if self.n != 2:
-            raise ValueError("mixed differences need a 2-d grid")
-        shifted_both = np.roll(np.roll(values, 1, axis=0), 1, axis=1)
-        return (
-            values
-            - np.roll(values, 1, axis=0)
-            - np.roll(values, 1, axis=1)
-            + shifted_both
-        ) / self.h**2
+        Returns the centered second difference along each axis and, on
+        2-d grids, the mixed differences composed of forward/forward and
+        of backward/backward first differences, in that order.  The field
+        is copied once into an array padded by one periodic cell on every
+        side, and each stencil reads shifted slices of that copy.
+        """
+        N = self.N
+        h2 = self.h**2
+        twice = 2.0 * values
+        halo = np.empty((N + 2,) * self.n)
+        if self.n == 1:
+            halo[1:-1] = values
+            halo[0] = values[-1]
+            halo[-1] = values[0]
+            return [(halo[2:] + halo[:-2] - twice) / h2]
+        halo[1:-1, 1:-1] = values
+        halo[0, 1:-1] = values[-1]
+        halo[-1, 1:-1] = values[0]
+        halo[:, 0] = halo[:, -2]
+        halo[:, -1] = halo[:, 1]
+        up, down = halo[2:, 1:-1], halo[:-2, 1:-1]
+        right, left = halo[1:-1, 2:], halo[1:-1, :-2]
+        return [
+            (up + down - twice) / h2,
+            (right + left - twice) / h2,
+            (halo[2:, 2:] - up - right + values) / h2,
+            (values - down - left + halo[:-2, :-2]) / h2,
+        ]
 
 
 @dataclass(frozen=True)
@@ -163,15 +171,11 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> HessianField:
         raise ValueError(
             f"field shape {values.shape} does not match grid {grid.shape}"
         )
-    diag = np.stack([grid.second_diff(values, a) for a in range(grid.n)])
+    diffs = grid.stencils(values)
+    diag = np.stack(diffs[: grid.n])
     if grid.n == 1:
         return HessianField(grid, diag)
-    return HessianField(
-        grid,
-        diag,
-        mixed_plus=grid.forward_skew(values),
-        mixed_minus=grid.backward_skew(values),
-    )
+    return HessianField(grid, diag, mixed_plus=diffs[2], mixed_minus=diffs[3])
 
 
 def write_field(path, grid: PeriodicGrid, values: np.ndarray) -> None:

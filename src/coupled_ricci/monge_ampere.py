@@ -147,7 +147,18 @@ def admissibility_margin(grid, A, psi=None, hess=None) -> float:
 
 
 def is_admissible(grid, A, psi=None, hess=None) -> bool:
-    return admissibility_margin(grid, A, psi=psi, hess=hess) > 0.0
+    """Whether every variant matrix A + H is positive definite everywhere.
+
+    Sylvester's criterion: the leading entry and each variant
+    determinant are positive at every grid point.  NaN fails the test.
+    """
+    A = np.asarray(A, dtype=float)
+    if hess is None:
+        hess = hessian(grid, psi)
+    minors = [A[0, 0] + hess.diag[0]]
+    if grid.n == 2:
+        minors += _variant_dets(grid, A, hess)
+    return all(bool((m > 0.0).all()) for m in minors)
 
 
 @dataclass(frozen=True)
@@ -340,10 +351,10 @@ def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
 def _newton_operators(grid, A, hess, t=None):
     """Matrix-free Newton matrix, its FFT preconditioner and a counter.
 
-    L is log_ma_linearization applied through the np.roll stencils of
-    ``grid``.  With ``t`` None the matrix is the lam=-1 Jacobian L - I;
-    otherwise it is the bordered rung matrix [[L + t*I, -1], [1^T/P, 0]]
-    acting on (delta_phi, delta_s).
+    L is log_ma_linearization applied through ``grid.stencils``.  With
+    ``t`` None the matrix is the lam=-1 Jacobian L - I; otherwise it is
+    the bordered rung matrix [[L + t*I, -1], [1^T/P, 0]] acting on
+    (delta_phi, delta_s).
 
     The preconditioner inverts the Fourier symbol of the same stencils
     with grid-mean coefficients.  In the bordered case the zero Fourier
@@ -357,15 +368,8 @@ def _newton_operators(grid, A, hess, t=None):
     zero_mode = (0,) * grid.n
     dens = ma_density(grid, A, hess=hess)
     if grid.n == 1:
-        stencils = [lambda v: grid.second_diff(v, 0)]
         coeffs = [1.0 / dens]
     else:
-        stencils = [
-            lambda v: grid.second_diff(v, 0),
-            lambda v: grid.second_diff(v, 1),
-            grid.forward_skew,
-            grid.backward_skew,
-        ]
         coeffs = [
             (A[1, 1] + hess.diag[1]) / dens,
             (A[0, 0] + hess.diag[0]) / dens,
@@ -374,14 +378,14 @@ def _newton_operators(grid, A, hess, t=None):
         ]
 
     def apply_L(v):
-        return sum(c * stencil(v) for c, stencil in zip(coeffs, stencils))
+        return sum(c * d for c, d in zip(coeffs, grid.stencils(v)))
 
     # With grid-mean coefficients L is a circular convolution, so its
     # Fourier symbol is the transform of its response to a unit impulse.
     impulse = np.zeros(shape)
     impulse[zero_mode] = 1.0
     symbol = np.fft.rfftn(
-        sum(c.mean() * stencil(impulse) for c, stencil in zip(coeffs, stencils)),
+        sum(c.mean() * d for c, d in zip(coeffs, grid.stencils(impulse))),
         axes=axes,
     )
     applications = [0]

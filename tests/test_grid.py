@@ -92,6 +92,44 @@ def test_hessian_of_axis_function_has_no_mixed_part():
     np.testing.assert_allclose(h.diag[1], 0.0, atol=1e-12)
 
 
+def _roll_stencils(g, v):
+    """The np.roll form of the Hessian stencils, the reference of the halo."""
+    h2 = g.h**2
+    out = [
+        (np.roll(v, -1, axis=a) + np.roll(v, 1, axis=a) - 2.0 * v) / h2
+        for a in range(g.n)
+    ]
+    if g.n == 2:
+        fwd = np.roll(np.roll(v, -1, axis=0), -1, axis=1)
+        out.append(
+            (fwd - np.roll(v, -1, axis=0) - np.roll(v, -1, axis=1) + v) / h2
+        )
+        bwd = np.roll(np.roll(v, 1, axis=0), 1, axis=1)
+        out.append(
+            (v - np.roll(v, 1, axis=0) - np.roll(v, 1, axis=1) + bwd) / h2
+        )
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [4, 6, 16, 48])
+def test_halo_stencils_equal_roll_formulas(n, N):
+    rng = np.random.default_rng(N + n)
+    g = PeriodicGrid(n, N)
+    for scale in (1.0, 1e-6, 1e6):
+        v = scale * rng.standard_normal(g.shape)
+        got = g.stencils(v)
+        want = _roll_stencils(g, v)
+        assert len(got) == len(want) == (1 if n == 1 else 4)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        h = hessian(g, v)
+        assert np.array_equal(h.diag, np.stack(want[:n]))
+        if n == 2:
+            assert np.array_equal(h.mixed_plus, want[2])
+            assert np.array_equal(h.mixed_minus, want[3])
+
+
 def test_field_file_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     for n, N in ((1, 16), (2, 6)):

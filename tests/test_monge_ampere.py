@@ -136,6 +136,37 @@ def test_admissibility_margin_two_dim():
     assert admissibility_margin(g, A, np.zeros(g.shape)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (2, 16)])
+def test_is_admissible_matches_margin_sign(n, N):
+    # scales of grid-scale noise on both sides of the cone boundary, down
+    # to a relative 1e-9 from it; closer than that the eigenvalue formula
+    # of the margin rounds to zero before the determinant does
+    rng = np.random.default_rng(30 + n)
+    g = PeriodicGrid(n, N)
+    A = np.array([[1.5]]) if n == 1 else np.array([[1.5, 0.3], [0.3, 1.2]])
+    seen = set()
+    for _ in range(20):
+        u = g.h**2 * rng.standard_normal(g.shape)
+        lo, hi = 0.0, 1.0
+        while admissibility_margin(g, A, hi * u) > 0.0:
+            hi *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if admissibility_margin(g, A, mid * u) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        for scale in (0.5 * lo, lo * (1 - 1e-9), hi * (1 + 1e-9), 2.0 * hi):
+            psi = scale * u
+            want = admissibility_margin(g, A, psi) > 0.0
+            assert is_admissible(g, A, psi) == want
+            seen.add(want)
+    assert seen == {True, False}
+    psi = np.zeros(g.shape)
+    psi[(1,) * n] = np.nan
+    assert not is_admissible(g, A, psi)
+
+
 # ---------------------------------------------------------------------------
 # linearization and newton_step
 
