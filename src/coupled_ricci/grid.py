@@ -189,8 +189,7 @@ def write_field(path, grid: PeriodicGrid, values: np.ndarray) -> None:
         raise ValueError("field shape does not match grid")
     with open(path, "w") as fh:
         fh.write(f"CRI-FIELD v1 n={grid.n} N={grid.N}\n")
-        for v in values.ravel(order="C"):
-            fh.write("%.17g\n" % v)
+        fh.write("".join("%.17g\n" % v for v in values.ravel().tolist()))
 
 
 def read_field(path):

@@ -83,6 +83,13 @@ def _class_order(k: int, sweep_order: str):
     return indices
 
 
+def _row_residual(row) -> float:
+    """cke_residual of the tuple a ledger row was recorded at."""
+    return max(
+        value for name, value in row.items() if name.startswith("rho_max_")
+    )
+
+
 def step_gauss_seidel(geom, psis, config: IterationConfig):
     """One sweep over the classes; returns (new tuple, total inner iterations).
 
@@ -144,9 +151,10 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
 
     t_start = time.perf_counter()
     if bool(tuple0.admissible.all()):
-        state.ledger.record_state(geom, psis, step=0, inner_iters=0, wall_ms=0.0)
-        residual = cke_residual(geom, psis)
-        if residual <= config.tol_fixed_point:
+        row = state.ledger.record_state(
+            geom, psis, step=0, inner_iters=0, wall_ms=0.0
+        )
+        if _row_residual(row) <= config.tol_fixed_point:
             state.converged = True
             state.reason = "converged"
             state.wall_ms = (time.perf_counter() - t_start) * 1e3
@@ -176,12 +184,17 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         wall = (time.perf_counter() - t_step) * 1e3
         state.psis = psis
         state.step = step
-        residual = cke_residual(geom, psis)
-        done = residual <= config.tol_fixed_point
-        if done or step % config.record_every == 0 or step == config.max_outer:
-            state.ledger.record_state(
+        if step % config.record_every == 0 or step == config.max_outer:
+            row = state.ledger.record_state(
                 geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall
             )
+            done = _row_residual(row) <= config.tol_fixed_point
+        else:
+            done = cke_residual(geom, psis) <= config.tol_fixed_point
+            if done:
+                state.ledger.record_state(
+                    geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall
+                )
         if done:
             state.converged = True
             state.reason = "converged"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,7 +91,7 @@ class BackgroundGeometry:
     def k(self) -> int:
         return self.A.shape[0]
 
-    @property
+    @cached_property
     def volumes(self) -> np.ndarray:
         """Class volumes det(A_i); conserved by the density integral."""
         return np.array([float(np.linalg.det(mat)) for mat in self.A])
