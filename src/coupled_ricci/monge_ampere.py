@@ -30,11 +30,16 @@ logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 50
 
-# GMRES settings of the Newton linear solve.  It stops at the looser of the
+# GMRES settings of the Newton linear solve.  It stops at the looser of a
 # relative tolerance and an absolute floor of _KRYLOV_ATOL_FACTOR * tol *
 # sqrt(P), tol being the Newton tolerance: on fine 2-d grids the linear
-# residual rounds at h^-2 scale, above any floor that small.
+# residual rounds at h^-2 scale, above any floor that small.  The relative
+# tolerance is the forcing term of inexact Newton (Eisenstat & Walker
+# 1996), the sup norm of the residual part GMRES solves clipped to
+# [_KRYLOV_RTOL, _FORCING_MAX]: loose far from the solution, tight near
+# it, which keeps the local convergence quadratic.
 _KRYLOV_RTOL = 1e-10
+_FORCING_MAX = 0.1
 _KRYLOV_ATOL_FACTOR = 0.01
 _KRYLOV_RESTART = 50
 _KRYLOV_MAXITER = 10
@@ -434,12 +439,14 @@ def _newton_operators(grid, A, hess, t=None):
     return operator, preconditioner, applications
 
 
-def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0):
+def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0,
+                      rtol=_KRYLOV_RTOL):
     """Newton direction by FFT-preconditioned GMRES.
 
     Solves the system of :func:`_newton_operators` for the right-hand
-    side -(res, mean) (no ``mean`` row when ``t`` is None).  The Krylov
-    stopping rule follows the Newton tolerance ``tol``.  Returns
+    side -(res, mean) (no ``mean`` row when ``t`` is None) to the
+    relative tolerance ``rtol``, with an absolute floor set by the
+    Newton tolerance ``tol``.  Returns
     (delta_phi, delta_s, krylov_iterations); raises NoConvergence rather
     than return an unconverged direction.
     """
@@ -458,7 +465,7 @@ def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0):
         rhs = -np.append(res.ravel(), mean)
     sol, info = gmres(
         operator, rhs,
-        rtol=_KRYLOV_RTOL,
+        rtol=rtol,
         atol=_KRYLOV_ATOL_FACTOR * tol * np.sqrt(P),
         restart=_KRYLOV_RESTART,
         maxiter=_KRYLOV_MAXITER,
@@ -536,15 +543,19 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
     history = [norm]
     dampings = []
     krylov = []
-    for iteration in range(max_newton):
-        if norm <= tol:
-            report = SolveReport(
-                newton_iterations=iteration, damping_factors=dampings,
-                residual_history=history, krylov_iterations=krylov,
+    while norm > tol:
+        if len(dampings) == max_newton:
+            raise NoConvergence(
+                f"{form} Newton stalled at residual {norm:.3e} after "
+                f"{max_newton} iterations"
             )
-            return phi, s, report
+        # GMRES solves all of a bordered residual, but only the
+        # non-constant part of a lam=-1 one (see _newton_direction).
+        solved = res if t is not None else res - res.mean()
+        forcing = min(_FORCING_MAX, float(np.abs(solved).max()))
+        forcing = max(_KRYLOV_RTOL, forcing)
         delta, delta_s, its = _newton_direction(
-            grid, A, hess, res, tol, t=t, mean=phi.mean()
+            grid, A, hess, res, tol, t=t, mean=phi.mean(), rtol=forcing
         )
         krylov.append(its)
         phi, s, hess, res, norm, alpha = _line_search(
@@ -552,9 +563,11 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
         )
         dampings.append(alpha)
         history.append(norm)
-    raise NoConvergence(
-        f"{form} Newton stalled at residual {norm:.3e} after {max_newton} iterations"
+    report = SolveReport(
+        newton_iterations=len(dampings), damping_factors=dampings,
+        residual_history=history, krylov_iterations=krylov,
     )
+    return phi, s, report
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,23 @@ def test_report_counts_krylov_iterations_per_newton_step():
     assert len(rep.krylov_iterations) == rep.newton_iterations
 
 
+@pytest.mark.parametrize("lam", [-1, 1])
+def test_forcing_term_saves_krylov_iterations(monkeypatch, lam):
+    # lam = +1 without a warm start walks the path of bordered rungs
+    g = PeriodicGrid(2, 16)
+    x1, x2 = g.coords()
+    f = 1 + 0.3 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+    geom = BackgroundGeometry(grid=g, lam=lam, A=np.eye(2)[None], f=f)
+    pot, rep = solve_tke(geom, 0, np.zeros(g.shape))
+    monkeypatch.setattr(
+        monge_ampere, "_FORCING_MAX", monge_ampere._KRYLOV_RTOL
+    )
+    pot_fixed, rep_fixed = solve_tke(geom, 0, np.zeros(g.shape))
+    assert rep.residual <= 1e-10 and rep_fixed.residual <= 1e-10
+    assert sum(rep.krylov_iterations) < sum(rep_fixed.krylov_iterations)
+    assert np.abs(pot.psi - pot_fixed.psi).max() <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # slice solves, lam = -1
 
@@ -530,6 +547,20 @@ def test_positive_sign_direct_solve_respects_newton_budget():
     _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm, max_newton=4)
     assert rep.continuity_trace[0][0] == 0.0
     assert all(iters <= 4 for _, iters in rep.continuity_trace)
+    assert rep.residual <= 1e-10
+
+
+def test_newton_converging_on_its_last_allowed_step_succeeds():
+    # from this warm start the direct attempt fails within 3 steps, and
+    # the t = 0 rung of the path converges on exactly its third step
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.05 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
+    warm = 0.02 * np.cos(2 * np.pi * x)
+    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm, max_newton=3)
+    assert rep.continuity_trace[0] == (0.0, 3)
+    assert all(iters <= 3 for _, iters in rep.continuity_trace)
     assert rep.residual <= 1e-10
 
 
