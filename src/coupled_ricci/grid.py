@@ -71,37 +71,32 @@ class PeriodicGrid:
             - 2.0 * values
         ) / self.h**2
 
-    def stencils(self, values: np.ndarray) -> list:
-        """The Hessian stencils of a field, from one periodic halo copy.
+    def stencils(self, values: np.ndarray):
+        """Yield the Hessian stencils of a field from one periodic halo copy.
 
-        Returns the centered second difference along each axis and, on
-        2-d grids, the mixed differences composed of forward/forward and
-        of backward/backward first differences, in that order.  The field
-        is copied once into an array padded by one periodic cell on every
-        side, and each stencil reads shifted slices of that copy.
+        Yields the centered second difference along each axis, then on
+        2-d grids the mixed differences composed of forward/forward and of
+        backward/backward first differences.  Each is a slice expression
+        on one copy of the field padded by a periodic cell on every side;
+        yielding them one at a time lets a caller that combines them keep
+        only one alive.
         """
-        N = self.N
         h2 = self.h**2
-        twice = 2.0 * values
-        halo = np.empty((N + 2,) * self.n)
+        halo = np.empty((self.N + 2,) * self.n)
         if self.n == 1:
             halo[1:-1] = values
-            halo[0] = values[-1]
-            halo[-1] = values[0]
-            return [(halo[2:] + halo[:-2] - twice) / h2]
+            halo[[0, -1]] = values[[-1, 0]]
+            yield (halo[2:] + halo[:-2] - 2.0 * values) / h2
+            return
         halo[1:-1, 1:-1] = values
-        halo[0, 1:-1] = values[-1]
-        halo[-1, 1:-1] = values[0]
-        halo[:, 0] = halo[:, -2]
-        halo[:, -1] = halo[:, 1]
+        halo[[0, -1], 1:-1] = values[[-1, 0]]
+        halo[:, [0, -1]] = halo[:, [-2, 1]]
         up, down = halo[2:, 1:-1], halo[:-2, 1:-1]
         right, left = halo[1:-1, 2:], halo[1:-1, :-2]
-        return [
-            (up + down - twice) / h2,
-            (right + left - twice) / h2,
-            (halo[2:, 2:] - up - right + values) / h2,
-            (values - down - left + halo[:-2, :-2]) / h2,
-        ]
+        yield (up + down - 2.0 * values) / h2
+        yield (right + left - 2.0 * values) / h2
+        yield (halo[2:, 2:] - up - right + values) / h2
+        yield (values - down - left + halo[:-2, :-2]) / h2
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,10 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> HessianField:
             f"field shape {values.shape} does not match grid {grid.shape}"
         )
     diffs = grid.stencils(values)
-    diag = np.stack(diffs[: grid.n])
+    diag = np.stack([next(diffs) for _ in range(grid.n)])
     if grid.n == 1:
         return HessianField(grid, diag)
-    return HessianField(grid, diag, mixed_plus=diffs[2], mixed_minus=diffs[3])
+    return HessianField(grid, diag, mixed_plus=next(diffs), mixed_minus=next(diffs))
 
 
 def write_field(path, grid: PeriodicGrid, values: np.ndarray) -> None:
@@ -189,7 +184,8 @@ def write_field(path, grid: PeriodicGrid, values: np.ndarray) -> None:
         raise ValueError("field shape does not match grid")
     with open(path, "w") as fh:
         fh.write(f"CRI-FIELD v1 n={grid.n} N={grid.N}\n")
-        fh.write("".join("%.17g\n" % v for v in values.ravel().tolist()))
+        for row in values.reshape(-1, grid.N).tolist():
+            fh.write(("%.17g\n" * grid.N) % tuple(row))
 
 
 def read_field(path):

@@ -85,9 +85,7 @@ def _class_order(k: int, sweep_order: str):
 
 def _row_residual(row) -> float:
     """cke_residual of the tuple a ledger row was recorded at."""
-    return max(
-        value for name, value in row.items() if name.startswith("rho_max_")
-    )
+    return max(v for name, v in row.items() if name.startswith("rho_max_"))
 
 
 def step_gauss_seidel(geom, psis, config: IterationConfig):

@@ -34,10 +34,9 @@ _MAX_HALVINGS = 50
 # relative tolerance and an absolute floor of _KRYLOV_ATOL_FACTOR * tol *
 # sqrt(P), tol being the Newton tolerance: on fine 2-d grids the linear
 # residual rounds at h^-2 scale, above any floor that small.  The relative
-# tolerance is the forcing term of inexact Newton (Eisenstat & Walker
-# 1996), the sup norm of the residual part GMRES solves clipped to
-# [_KRYLOV_RTOL, _FORCING_MAX]: loose far from the solution, tight near
-# it, which keeps the local convergence quadratic.
+# tolerance is the inexact-Newton forcing term (Eisenstat & Walker 1996):
+# the sup norm of the residual GMRES solves, clipped to [_KRYLOV_RTOL,
+# _FORCING_MAX], which keeps the local convergence quadratic.
 _KRYLOV_RTOL = 1e-10
 _FORCING_MAX = 0.1
 _KRYLOV_ATOL_FACTOR = 0.01
@@ -99,7 +98,9 @@ class BackgroundGeometry:
     @cached_property
     def volumes(self) -> np.ndarray:
         """Class volumes det(A_i); conserved by the density integral."""
-        return np.array([float(np.linalg.det(mat)) for mat in self.A])
+        vols = np.array([float(np.linalg.det(mat)) for mat in self.A])
+        vols.setflags(write=False)  # one cached array serves every caller
+        return vols
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,8 @@ def admissibility_margin(grid, A, psi=None, hess=None) -> float:
 def is_admissible(grid, A, psi=None, hess=None) -> bool:
     """Whether every variant matrix A + H is positive definite everywhere.
 
-    Sylvester's criterion: the leading entry and each variant
-    determinant are positive at every grid point.  NaN fails the test.
+    By Sylvester's criterion: A[0,0] + H_00 and each variant determinant
+    are positive at every grid point.  NaN fails.
     """
     A = np.asarray(A, dtype=float)
     if hess is None:
@@ -439,8 +440,7 @@ def _newton_operators(grid, A, hess, t=None):
     return operator, preconditioner, applications
 
 
-def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0,
-                      rtol=_KRYLOV_RTOL):
+def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0, rtol=_KRYLOV_RTOL):
     """Newton direction by FFT-preconditioned GMRES.
 
     Solves the system of :func:`_newton_operators` for the right-hand
@@ -552,8 +552,7 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
         # GMRES solves all of a bordered residual, but only the
         # non-constant part of a lam=-1 one (see _newton_direction).
         solved = res if t is not None else res - res.mean()
-        forcing = min(_FORCING_MAX, float(np.abs(solved).max()))
-        forcing = max(_KRYLOV_RTOL, forcing)
+        forcing = float(np.clip(np.abs(solved).max(), _KRYLOV_RTOL, _FORCING_MAX))
         delta, delta_s, its = _newton_direction(
             grid, A, hess, res, tol, t=t, mean=phi.mean(), rtol=forcing
         )

@@ -118,7 +118,7 @@ def test_halo_stencils_equal_roll_formulas(n, N):
     g = PeriodicGrid(n, N)
     for scale in (1.0, 1e-6, 1e6):
         v = scale * rng.standard_normal(g.shape)
-        got = g.stencils(v)
+        got = list(g.stencils(v))
         want = _roll_stencils(g, v)
         assert len(got) == len(want) == (1 if n == 1 else 4)
         for a, b in zip(got, want):
