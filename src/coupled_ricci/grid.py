@@ -85,12 +85,15 @@ class PeriodicGrid:
         halo = np.empty((self.N + 2,) * self.n)
         if self.n == 1:
             halo[1:-1] = values
-            halo[[0, -1]] = values[[-1, 0]]
+            halo[0] = values[-1]
+            halo[-1] = values[0]
             yield (halo[2:] + halo[:-2] - 2.0 * values) / h2
             return
         halo[1:-1, 1:-1] = values
-        halo[[0, -1], 1:-1] = values[[-1, 0]]
-        halo[:, [0, -1]] = halo[:, [-2, 1]]
+        halo[0, 1:-1] = values[-1]
+        halo[-1, 1:-1] = values[0]
+        halo[:, 0] = halo[:, -2]
+        halo[:, -1] = halo[:, 1]
         up, down = halo[2:, 1:-1], halo[:-2, 1:-1]
         right, left = halo[1:-1, 2:], halo[1:-1, :-2]
         yield (up + down - 2.0 * values) / h2
