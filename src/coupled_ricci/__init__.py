@@ -4,7 +4,6 @@ from . import errors
 from .config import RunConfig, build_run_config, eval_field_expr, load_config_file
 from .functionals import (
     EnergyLedger,
-    PotentialTuple,
     am_energy,
     cke_residual,
     diagnostics,
@@ -31,7 +30,6 @@ from .iteration import (
     step_gauss_seidel,
 )
 from .monge_ampere import (
-    AdmissiblePotential,
     BackgroundGeometry,
     SolveReport,
     admissibility_margin,
@@ -53,7 +51,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissiblePotential",
     "BackgroundGeometry",
     "EnergyLedger",
     "HessianField",
@@ -61,7 +58,6 @@ __all__ = [
     "IterationState",
     "MonotoneReport",
     "PeriodicGrid",
-    "PotentialTuple",
     "RunConfig",
     "SolveReport",
     "StackedSystem",

@@ -10,40 +10,25 @@ quadratic order exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonAdmissible
 from .grid import PeriodicGrid, hessian
-from .monge_ampere import BackgroundGeometry, is_admissible, ma_density
+from .monge_ampere import (
+    BackgroundGeometry,
+    _cone_density,
+    is_admissible,
+    ma_density,
+)
 
 
-@dataclass
-class PotentialTuple:
-    """The k potentials of one iteration state plus admissibility flags."""
-
-    psis: np.ndarray
-    admissible: np.ndarray
-
-    @classmethod
-    def from_fields(cls, geom: BackgroundGeometry, fields) -> "PotentialTuple":
-        psis = np.asarray(fields, dtype=float)
-        expected = (geom.k,) + geom.grid.shape
-        if psis.shape != expected:
-            raise ValueError(
-                f"expected {geom.k} fields of shape {geom.grid.shape}, "
-                f"got array of shape {psis.shape}"
-            )
-        flags = np.array(
-            [is_admissible(geom.grid, geom.A[i], psis[i]) for i in range(geom.k)]
-        )
-        return cls(psis=psis, admissible=flags)
-
-
-def _require_admissible(grid, A, hess, what):
-    if not is_admissible(grid, A, hess=hess):
+def _admissible_density(grid, A, hess, what):
+    """ma_density of an admissible potential; NonAdmissible otherwise."""
+    dens = _cone_density(grid, A, hess)
+    if dens is None:
         raise NonAdmissible(f"{what} needs an admissible potential")
+    return dens
 
 
 def _hessians(grid, psis) -> list:
@@ -68,8 +53,7 @@ def am_energy(grid: PeriodicGrid, A, psi, hess=None) -> float:
     psi = np.asarray(psi, dtype=float)
     if hess is None:
         hess = hessian(grid, psi)
-    _require_admissible(grid, A, hess, "am_energy")
-    dens = ma_density(grid, A, hess=hess)
+    dens = _admissible_density(grid, A, hess, "am_energy")
     det_a = float(np.linalg.det(A))
     if grid.n == 1:
         integrand = 0.5 * psi * (det_a + dens)
@@ -85,9 +69,8 @@ def i_functional(grid: PeriodicGrid, A, psi, hess=None) -> float:
     psi = np.asarray(psi, dtype=float)
     if hess is None:
         hess = hessian(grid, psi)
-    _require_admissible(grid, A, hess, "i_functional")
+    dens = _admissible_density(grid, A, hess, "i_functional")
     det_a = float(np.linalg.det(A))
-    dens = ma_density(grid, A, hess=hess)
     return grid.integrate(psi * (det_a - dens)) / det_a
 
 
@@ -140,8 +123,7 @@ def _ricci_potentials(geom, psis, hessians) -> np.ndarray:
     vols = geom.volumes
     rhos = np.empty_like(psis)
     for i, hess in enumerate(hessians):
-        _require_admissible(grid, geom.A[i], hess, "ricci_potentials")
-        dens = ma_density(grid, geom.A[i], hess=hess)
+        dens = _admissible_density(grid, geom.A[i], hess, "ricci_potentials")
         rhos[i] = np.log(vols[i]) + log_weight - np.log(z) - np.log(dens)
     return rhos
 
@@ -173,7 +155,8 @@ def ding_first_variation(geom: BackgroundGeometry, psis, deltas) -> float:
 
 def _equivalence_ratio(grid, A, hess) -> float:
     """Spread of the generalized eigenvalues of (A + D^2 psi, A)."""
-    _require_admissible(grid, A, hess, "diagnostics")
+    if not is_admissible(grid, A, hess=hess):
+        raise NonAdmissible("diagnostics needs an admissible potential")
     if grid.n == 1:
         vals = (A[0, 0] + hess.diag[0]) / A[0, 0]
         return float(vals.max() / vals.min())

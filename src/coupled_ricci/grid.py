@@ -60,9 +60,6 @@ class PeriodicGrid:
             )
         return float(values.sum() * self.h**self.n)
 
-    def mean(self, values: np.ndarray) -> float:
-        return self.integrate(values)  # the torus has unit volume
-
     def second_diff(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Centered second difference along one axis."""
         return (

@@ -21,8 +21,8 @@ from .errors import (
     NonAdmissible,
     NonAdmissibleStep,
 )
-from .functionals import EnergyLedger, PotentialTuple, cke_residual
-from .monge_ampere import BackgroundGeometry, solve_tke
+from .functionals import EnergyLedger, cke_residual
+from .monge_ampere import BackgroundGeometry, is_admissible, solve_tke
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +49,8 @@ class IterationConfig:
             raise ValueError(f"unknown sweep_order {self.sweep_order!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be at least 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if not (self.tol_fixed_point > 0.0 and self.tol_inner > 0.0):
@@ -103,7 +105,7 @@ def step_gauss_seidel(geom, psis, config: IterationConfig):
     for i in _class_order(geom.k, config.sweep_order):
         g = partners.sum(axis=0) - partners[i]
         try:
-            pot, report = solve_tke(
+            psi, report = solve_tke(
                 geom, i, g,
                 tol_inner=config.tol_inner,
                 max_newton=config.max_newton,
@@ -113,7 +115,7 @@ def step_gauss_seidel(geom, psis, config: IterationConfig):
         except CoupledRicciError as exc:
             exc.slice_index = i
             raise
-        current[i] = pot.psi
+        current[i] = psi
         inner_iters += report.newton_iterations
     return current, inner_iters
 
@@ -142,13 +144,13 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         if not np.all(np.isfinite(psis)):
             raise ValueError("init contains non-finite values")
 
-    tuple0 = PotentialTuple.from_fields(geom, psis)
+    admissible = [is_admissible(grid, geom.A[i], psis[i]) for i in range(geom.k)]
     state = IterationState(
         geom=geom, config=config, psis=psis, ledger=EnergyLedger(geom.k)
     )
 
     t_start = time.perf_counter()
-    if bool(tuple0.admissible.all()):
+    if all(admissible):
         row = state.ledger.record_state(
             geom, psis, step=0, inner_iters=0, wall_ms=0.0
         )
@@ -160,7 +162,7 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
                 state.monotone_report = check_monotone(state.ledger)
             return state
     else:
-        bad = [i + 1 for i in range(geom.k) if not tuple0.admissible[i]]
+        bad = [i + 1 for i, ok in enumerate(admissible) if not ok]
         logger.warning(
             "initial potentials for classes %s are outside the positivity "
             "cone; they are used for coupling only and the step-0 ledger "

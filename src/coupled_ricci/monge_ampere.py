@@ -153,28 +153,25 @@ def admissibility_margin(grid, A, psi=None, hess=None) -> float:
     return margin
 
 
-def is_admissible(grid, A, psi=None, hess=None) -> bool:
-    """Whether every variant matrix A + H is positive definite everywhere.
+def _cone_density(grid, A, hess: HessianField):
+    """ma_density from one determinant evaluation, or None outside the cone.
 
-    By Sylvester's criterion: A[0,0] + H_00 and each variant determinant
-    are positive at every grid point.  NaN fails.
+    By Sylvester's criterion a variant matrix A + H is positive definite
+    when A[0,0] + H_00 and its determinant are positive; NaN fails.
     """
+    dets = _variant_dets(grid, A, hess)
+    minors = dets if grid.n == 1 else [A[0, 0] + hess.diag[0], *dets]
+    if not all(bool((m > 0.0).all()) for m in minors):
+        return None
+    return sum(dets) / len(dets)
+
+
+def is_admissible(grid, A, psi=None, hess=None) -> bool:
+    """Whether every variant matrix A + H is positive definite everywhere."""
     A = np.asarray(A, dtype=float)
     if hess is None:
         hess = hessian(grid, psi)
-    minors = [A[0, 0] + hess.diag[0]]
-    if grid.n == 2:
-        minors += _variant_dets(grid, A, hess)
-    return all(bool((m > 0.0).all()) for m in minors)
-
-
-@dataclass(frozen=True)
-class AdmissiblePotential:
-    """A potential together with its cached Hessian and class index."""
-
-    index: int
-    psi: np.ndarray
-    hess: HessianField
+    return _cone_density(grid, A, hess) is not None
 
 
 @dataclass
@@ -355,10 +352,11 @@ def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
 # matrix-free Newton systems
 
 
-def _newton_operators(grid, A, hess, t=None):
+def _newton_operators(grid, A, hess, dens, t=None):
     """Matrix-free Newton matrix, its FFT preconditioner and a counter.
 
-    L is log_ma_linearization applied through ``grid.stencils``.  With
+    L is log_ma_linearization at the field with Hessian ``hess`` and
+    density ``dens``, applied through ``grid.stencils``.  With
     ``t`` None the matrix is the lam=-1 Jacobian L - I; otherwise it is
     the bordered rung matrix [[L + t*I, -1], [1^T/P, 0]] acting on
     (delta_phi, delta_s).
@@ -373,7 +371,6 @@ def _newton_operators(grid, A, hess, t=None):
     P = grid.num_points
     axes = tuple(range(grid.n))
     zero_mode = (0,) * grid.n
-    dens = ma_density(grid, A, hess=hess)
     if grid.n == 1:
         coeffs = [1.0 / dens]
     else:
@@ -440,7 +437,8 @@ def _newton_operators(grid, A, hess, t=None):
     return operator, preconditioner, applications
 
 
-def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0, rtol=_KRYLOV_RTOL):
+def _newton_direction(grid, A, hess, dens, res, tol, t=None, mean=0.0,
+                      rtol=_KRYLOV_RTOL):
     """Newton direction by FFT-preconditioned GMRES.
 
     Solves the system of :func:`_newton_operators` for the right-hand
@@ -451,7 +449,7 @@ def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0, rtol=_KRYLOV_RT
     than return an unconverged direction.
     """
     operator, preconditioner, applications = _newton_operators(
-        grid, A, hess, t
+        grid, A, hess, dens, t
     )
     P = grid.num_points
     if t is None:
@@ -488,19 +486,23 @@ def _newton_direction(grid, A, hess, res, tol, t=None, mean=0.0, rtol=_KRYLOV_RT
 
 
 def _line_search(grid, A, phi, s, delta, delta_s, res_norm, residual):
-    """Backtrack until the iterate stays admissible and the residual drops."""
+    """Backtrack until the iterate stays admissible and the residual drops.
+
+    Returns the accepted (phi, s, hess, dens, res, norm, alpha).
+    """
     alpha = 1.0
     saw_admissible = False
     for _ in range(_MAX_HALVINGS):
         cand = phi + alpha * delta
         hess = hessian(grid, cand)
-        if is_admissible(grid, A, hess=hess):
+        dens = _cone_density(grid, A, hess)
+        if dens is not None:
             saw_admissible = True
             cand_s = s + alpha * delta_s
-            res = residual(cand, cand_s, hess)
+            res = residual(cand, cand_s, dens)
             norm = float(np.abs(res).max())
             if norm <= (1.0 - 0.25 * alpha) * res_norm:
-                return cand, cand_s, hess, res, norm, alpha
+                return cand, cand_s, hess, dens, res, norm, alpha
         alpha *= 0.5
     if not saw_admissible:
         raise NonAdmissibleStep(
@@ -520,25 +522,30 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
 
         log ma_density(A, phi) + t*phi - rhs - s = 0,  mean phi = 0,
 
-    with the constant s as an extra unknown started at ``s0``.  Returns
+    with the constant s as an extra unknown started at ``s0``; with
+    ``s0`` None, s starts at the mean of the rung residual at s = 0.
+    Raises NonAdmissible when ``phi0`` is outside the cone.  Returns
     (phi, s, SolveReport).
     """
+    if max_newton < 1:
+        raise ValueError(f"max_newton must be at least 1, got {max_newton}")
     form = "monotone" if t is None else "bordered"
     phi = np.asarray(phi0, dtype=float).copy()
     if t is not None:
         phi = phi - phi.mean()
-    s = float(s0)
     hess = hessian(grid, phi)
-    if not is_admissible(grid, A, hess=hess):
+    dens = _cone_density(grid, A, hess)
+    if dens is None:
         raise NonAdmissible(f"{form} solve needs an admissible start")
 
-    def residual(cand, cand_s, cand_hess):
-        log_dens = np.log(ma_density(grid, A, hess=cand_hess))
+    def residual(cand, cand_s, cand_dens):
+        log_dens = np.log(cand_dens)
         if t is None:
             return log_dens - cand - rhs
         return log_dens + t * cand - rhs - cand_s
 
-    res = residual(phi, s, hess)
+    s = float(residual(phi, 0.0, dens).mean()) if s0 is None else float(s0)
+    res = residual(phi, s, dens)
     norm = float(np.abs(res).max())
     history = [norm]
     dampings = []
@@ -554,10 +561,10 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
         solved = res if t is not None else res - res.mean()
         forcing = float(np.clip(np.abs(solved).max(), _KRYLOV_RTOL, _FORCING_MAX))
         delta, delta_s, its = _newton_direction(
-            grid, A, hess, res, tol, t=t, mean=phi.mean(), rtol=forcing
+            grid, A, hess, dens, res, tol, t=t, mean=phi.mean(), rtol=forcing
         )
         krylov.append(its)
-        phi, s, hess, res, norm, alpha = _line_search(
+        phi, s, hess, dens, res, norm, alpha = _line_search(
             grid, A, phi, s, delta, delta_s, norm, residual
         )
         dampings.append(alpha)
@@ -589,8 +596,7 @@ def _finalize(geom, index, g, phi, mode, tol_inner, report):
     grid = geom.grid
     A = geom.A[index]
     psi, _ = _normalize(phi, mode)
-    hess = hessian(grid, psi)
-    dens = ma_density(grid, A, hess=hess)
+    dens = ma_density(grid, A, psi)
     weight = np.exp(-geom.lam * (psi + g)) * geom.f
     c = grid.integrate(dens) / grid.integrate(weight)
     residual = float(
@@ -603,8 +609,7 @@ def _finalize(geom, index, g, phi, mode, tol_inner, report):
         )
     report.residual = residual
     report.c = c
-    potential = AdmissiblePotential(index=index, psi=psi, hess=hess)
-    return potential, report
+    return psi, report
 
 
 def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
@@ -617,8 +622,8 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
 
     solved in log form to the sup-norm tolerance ``tol_inner``.  The
     constant c is recomputed from the exact volume compatibility
-    identity before the final residual is recorded.  Returns
-    (AdmissiblePotential, SolveReport).
+    identity before the final residual is recorded.  A warm start
+    outside the cone is ignored.  Returns (psi, SolveReport).
     """
     grid = geom.grid
     A = geom.A[index]
@@ -631,30 +636,30 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     log_f = np.log(geom.f)
 
     if geom.lam == -1:
-        phi0 = np.zeros(grid.shape)
-        if warm_start is not None and is_admissible(grid, A, warm_start):
-            phi0 = np.asarray(warm_start, dtype=float)
-        phi, _, report = _damped_newton(
-            grid, A, g + log_f, inner_tol, phi0, max_newton
-        )
+        cold = np.zeros(grid.shape)
+        phi0 = cold if warm_start is None else warm_start
+        try:
+            phi, _, report = _damped_newton(
+                grid, A, g + log_f, inner_tol, phi0, max_newton
+            )
+        except NonAdmissible:  # the warm start lies outside the cone
+            phi, _, report = _damped_newton(
+                grid, A, g + log_f, inner_tol, cold, max_newton
+            )
         return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
     # lam = +1: try a direct solve from the warm start, else walk the path.
-    rhs = log_f - g
-    if warm_start is not None and is_admissible(grid, A, warm_start):
-        phi0 = np.asarray(warm_start, dtype=float)
-        phi0 = phi0 - phi0.mean()
-        s0 = float((np.log(ma_density(grid, A, phi0)) + phi0 - rhs).mean())
+    if warm_start is not None:
         try:
             phi, _, report = _damped_newton(
-                grid, A, rhs, inner_tol, phi0, min(max_newton, 20),
-                t=1.0, s0=s0,
+                grid, A, log_f - g, inner_tol, warm_start,
+                min(max_newton, 20), t=1.0, s0=None,
             )
             report.continuity_trace = [(1.0, report.newton_iterations)]
             return _finalize(
                 geom, index, g, phi, norm_mode, tol_inner, report
             )
-        except (NoConvergence, NonAdmissibleStep):
+        except (NonAdmissible, NoConvergence, NonAdmissibleStep):
             logger.debug(
                 "direct positive-sign solve failed for class %d; "
                 "falling back to the continuity path",
@@ -724,7 +729,7 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
 
     ``rho`` must be strictly positive; c comes out as the volume ratio
     integrate(ma_density) / integrate(rho).  Returns
-    (AdmissiblePotential, c, SolveReport).
+    (psi, c, SolveReport).
     """
     A = np.asarray(A, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -736,8 +741,7 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
         grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape),
         max_newton, t=0.0,
     )
-    hess = hessian(grid, phi)
-    dens = ma_density(grid, A, hess=hess)
+    dens = ma_density(grid, A, phi)
     c = grid.integrate(dens) / grid.integrate(rho)
     residual = float(np.abs(np.log(dens) - np.log(c) - np.log(rho)).max())
     if residual > tol_inner:
@@ -746,5 +750,4 @@ def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
         )
     report.residual = residual
     report.c = c
-    potential = AdmissiblePotential(index=0, psi=phi, hess=hess)
-    return potential, c, report
+    return phi, c, report

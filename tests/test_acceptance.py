@@ -150,8 +150,8 @@ def test_criterion_6_second_order_convergence():
         geom = BackgroundGeometry(
             grid=grid, lam=-1, A=np.array([[[4.0]]]), f=f
         )
-        pot, _report = solve_tke(geom, 0, np.zeros(grid.shape))
-        solved = pot.psi - pot.psi.max()
+        psi, _report = solve_tke(geom, 0, np.zeros(grid.shape))
+        solved = psi - psi.max()
         return float(np.abs(solved - (target - target.max())).max())
 
     e32 = sup_error(32)

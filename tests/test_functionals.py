@@ -5,7 +5,6 @@ from coupled_ricci import (
     BackgroundGeometry,
     EnergyLedger,
     PeriodicGrid,
-    PotentialTuple,
     admissibility_margin,
     am_energy,
     cke_residual,
@@ -217,15 +216,6 @@ def test_first_variation_matches_finite_differences():
         an = ding_first_variation(geom, psis, deltas)
         worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     assert worst <= 1e-7
-
-
-def test_potential_tuple_flags():
-    geom = sine_geom(N=64)
-    x = geom.grid.coords()[0]
-    fields = np.stack([np.zeros(geom.grid.shape), 0.1 * np.cos(2 * np.pi * x)])
-    tup = PotentialTuple.from_fields(geom, fields)
-    assert tup.admissible[0]
-    assert not tup.admissible[1]
 
 
 # ---------------------------------------------------------------------------

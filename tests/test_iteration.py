@@ -38,6 +38,8 @@ def sine_geom(N=32, k=2, lam=-1, amp=0.5, a=1.0):
         {"record_every": 0},
         {"tol_inner": -1.0},
         {"tol_fixed_point": 0.0},
+        {"max_newton": 0},
+        {"max_newton": -1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

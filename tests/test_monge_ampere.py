@@ -160,11 +160,17 @@ def test_is_admissible_matches_margin_sign(n, N):
             psi = scale * u
             want = admissibility_margin(g, A, psi) > 0.0
             assert is_admissible(g, A, psi) == want
+            dens = monge_ampere._cone_density(g, A, hessian(g, psi))
+            if want:
+                assert np.array_equal(dens, ma_density(g, A, psi))
+            else:
+                assert dens is None
             seen.add(want)
     assert seen == {True, False}
     psi = np.zeros(g.shape)
     psi[(1,) * n] = np.nan
     assert not is_admissible(g, A, psi)
+    assert monge_ampere._cone_density(g, A, hessian(g, psi)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +204,9 @@ def test_linearization_annihilates_constants():
 
 def test_newton_step_vanishes_at_solution():
     geom = make_geom(N=16, a=1.5, f=np.full((16,), 1.5))
-    pot, rep = solve_tke(geom, 0, np.zeros(16))
+    psi, rep = solve_tke(geom, 0, np.zeros(16))
     assert rep.newton_iterations == 0
-    phi = pot.psi + np.log(rep.c)
+    phi = psi + np.log(rep.c)
     delta, ds, predicted = newton_step(
         geom.grid, geom.A[0], -1, np.log(geom.f), phi
     )
@@ -258,7 +264,10 @@ def _assembled_system(g, A, phi, t):
 @pytest.mark.parametrize("t", [None, 0.0, 0.7])
 def test_matrix_free_operator_matches_assembled_jacobian(n, N, t):
     g, A, phi, rng = _random_admissible(n, N, 20)
-    operator, _, _ = monge_ampere._newton_operators(g, A, hessian(g, phi), t)
+    hess = hessian(g, phi)
+    operator, _, _ = monge_ampere._newton_operators(
+        g, A, hess, ma_density(g, A, hess=hess), t
+    )
     ref = _assembled_system(g, A, phi, t)
     for _ in range(3):
         x = rng.standard_normal(ref.shape[1])
@@ -274,17 +283,20 @@ def test_krylov_direction_matches_newton_step(n, N, t):
     g, A, phi, rng = _random_admissible(n, N, 21)
     rhs = 0.1 * rng.standard_normal(g.shape)
     hess = hessian(g, phi)
-    log_dens = np.log(ma_density(g, A, hess=hess))
+    dens = ma_density(g, A, hess=hess)
+    log_dens = np.log(dens)
     if t is None:
         res = log_dens - phi - rhs
         want, want_s, _ = newton_step(g, A, -1, rhs, phi)
-        got, got_s, its = monge_ampere._newton_direction(g, A, hess, res, 2.5e-11)
+        got, got_s, its = monge_ampere._newton_direction(
+            g, A, hess, dens, res, 2.5e-11
+        )
     else:
         s = 0.05
         res = log_dens + t * phi - rhs - s
         want, want_s, _ = newton_step(g, A, 1, rhs, phi, s=s, t=t)
         got, got_s, its = monge_ampere._newton_direction(
-            g, A, hess, res, 2.5e-11, t=t, mean=phi.mean()
+            g, A, hess, dens, res, 2.5e-11, t=t, mean=phi.mean()
         )
     assert its > 0
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -302,9 +314,9 @@ def test_constant_shifted_warm_start_takes_one_newton_step(eps):
     x = g.coords()[0]
     f = 1 + 0.5 * np.sin(2 * np.pi * x)
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1000.0]]]), f=f)
-    pot, _ = solve_tke(geom, 0, np.zeros(64))
+    psi, _ = solve_tke(geom, 0, np.zeros(64))
     _, rep = solve_tke(
-        geom, 0, eps * np.cos(2 * np.pi * x), warm_start=pot.psi
+        geom, 0, eps * np.cos(2 * np.pi * x), warm_start=psi
     )
     assert rep.residual_history[0] > 1.0
     assert rep.newton_iterations == 1
@@ -356,14 +368,14 @@ def test_forcing_term_saves_krylov_iterations(monkeypatch, lam):
     x1, x2 = g.coords()
     f = 1 + 0.3 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
     geom = BackgroundGeometry(grid=g, lam=lam, A=np.eye(2)[None], f=f)
-    pot, rep = solve_tke(geom, 0, np.zeros(g.shape))
+    psi, rep = solve_tke(geom, 0, np.zeros(g.shape))
     monkeypatch.setattr(
         monge_ampere, "_FORCING_MAX", monge_ampere._KRYLOV_RTOL
     )
-    pot_fixed, rep_fixed = solve_tke(geom, 0, np.zeros(g.shape))
+    psi_fixed, rep_fixed = solve_tke(geom, 0, np.zeros(g.shape))
     assert rep.residual <= 1e-10 and rep_fixed.residual <= 1e-10
     assert sum(rep.krylov_iterations) < sum(rep_fixed.krylov_iterations)
-    assert np.abs(pot.psi - pot_fixed.psi).max() <= 1e-11
+    assert np.abs(psi - psi_fixed).max() <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +384,8 @@ def test_forcing_term_saves_krylov_iterations(monkeypatch, lam):
 
 def test_trivial_slice_solve_is_instant():
     geom = make_geom(N=16, a=2.0, f=np.full((16,), 2.0))
-    pot, rep = solve_tke(geom, 0, np.zeros(16))
-    np.testing.assert_allclose(pot.psi, 0.0, atol=1e-14)
+    psi, rep = solve_tke(geom, 0, np.zeros(16))
+    np.testing.assert_allclose(psi, 0.0, atol=1e-14)
     assert rep.newton_iterations == 0
     assert rep.c == pytest.approx(1.0, rel=1e-14)
 
@@ -387,9 +399,9 @@ def test_manufactured_discrete_solution_recovered():
     dens = ma_density(g, np.array([[1.0]]), psi_star)
     f = dens * np.exp(-psi_star)
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
-    pot, rep = solve_tke(geom, 0, np.zeros(32), tol_inner=1e-12)
+    psi, rep = solve_tke(geom, 0, np.zeros(32), tol_inner=1e-12)
     ref = psi_star - psi_star.max()
-    assert np.abs(pot.psi - ref).max() <= 1e-10
+    assert np.abs(psi - ref).max() <= 1e-10
     assert rep.residual <= 1e-12
 
 
@@ -398,7 +410,7 @@ def test_solver_reports_quadratic_tail():
     x = g.coords()[0]
     f = np.exp(0.5 * np.sin(2 * np.pi * x))
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
-    pot, rep = solve_tke(geom, 0, np.zeros(32), tol_inner=1e-12)
+    psi, rep = solve_tke(geom, 0, np.zeros(32), tol_inner=1e-12)
     hist = rep.residual_history
     assert len(hist) >= 3
     # estimate the quadratic constant from the first contraction and require
@@ -419,8 +431,8 @@ def test_warm_start_reduces_iterations():
     x = g.coords()[0]
     f = np.exp(0.4 * np.sin(2 * np.pi * x))
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
-    pot, rep_cold = solve_tke(geom, 0, np.zeros(32))
-    _, rep_warm = solve_tke(geom, 0, np.zeros(32), warm_start=pot.psi)
+    psi, rep_cold = solve_tke(geom, 0, np.zeros(32))
+    _, rep_warm = solve_tke(geom, 0, np.zeros(32), warm_start=psi)
     assert rep_warm.newton_iterations <= rep_cold.newton_iterations
     assert rep_warm.newton_iterations <= 1
 
@@ -432,7 +444,7 @@ def test_non_admissible_warm_start_falls_back():
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
     bad = 0.1 * np.cos(2 * np.pi * x)
     assert not is_admissible(g, geom.A[0], bad)
-    pot, rep = solve_tke(geom, 0, np.zeros(64), warm_start=bad)
+    psi, rep = solve_tke(geom, 0, np.zeros(64), warm_start=bad)
     assert rep.residual <= 1e-10
 
 
@@ -444,7 +456,7 @@ def test_random_densities_always_solve():
     for _ in range(100):
         f = np.exp(0.3 * (2.0 * rng.random(g.shape) - 1.0))
         geom = BackgroundGeometry(grid=g, lam=-1, A=A, f=f)
-        pot, rep = solve_tke(geom, 0, np.zeros(g.shape))
+        psi, rep = solve_tke(geom, 0, np.zeros(g.shape))
         assert rep.residual <= 1e-10
 
 
@@ -453,10 +465,10 @@ def test_sup_normalization_is_exact():
     x = g.coords()[0]
     f = np.exp(0.2 * np.cos(2 * np.pi * x))
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
-    pot, _ = solve_tke(geom, 0, np.zeros(16), norm_mode="sup")
-    assert pot.psi.max() == 0.0
-    pot2, _ = solve_tke(geom, 0, np.zeros(16), norm_mode="mean")
-    assert abs(pot2.psi.mean()) <= 1e-12 * max(1.0, np.abs(pot2.psi).max())
+    psi, _ = solve_tke(geom, 0, np.zeros(16), norm_mode="sup")
+    assert psi.max() == 0.0
+    psi2, _ = solve_tke(geom, 0, np.zeros(16), norm_mode="mean")
+    assert abs(psi2.mean()) <= 1e-12 * max(1.0, np.abs(psi2).max())
 
 
 def test_compatibility_constant_identity():
@@ -465,9 +477,9 @@ def test_compatibility_constant_identity():
     f = np.exp(0.3 * np.sin(2 * np.pi * x))
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[2.0]]]), f=f)
     gfield = 0.1 * np.cos(2 * np.pi * x)
-    pot, rep = solve_tke(geom, 0, gfield)
-    dens = ma_density(g, geom.A[0], pot.psi)
-    weight = rep.c * np.exp(pot.psi + gfield) * f
+    psi, rep = solve_tke(geom, 0, gfield)
+    dens = ma_density(g, geom.A[0], psi)
+    weight = rep.c * np.exp(psi + gfield) * f
     assert g.integrate(dens) == pytest.approx(g.integrate(weight), rel=1e-13)
 
 
@@ -477,10 +489,10 @@ def test_report_residual_matches_independent_reevaluation():
     f = np.exp(0.3 * np.sin(2 * np.pi * x))
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
     gfield = np.zeros(16)
-    pot, rep = solve_tke(geom, 0, gfield)
-    dens = ma_density(g, geom.A[0], pot.psi)
+    psi, rep = solve_tke(geom, 0, gfield)
+    dens = ma_density(g, geom.A[0], psi)
     again = np.abs(
-        np.log(dens) - np.log(rep.c) + geom.lam * (pot.psi + gfield) - np.log(f)
+        np.log(dens) - np.log(rep.c) + geom.lam * (psi + gfield) - np.log(f)
     ).max()
     assert again == pytest.approx(rep.residual, rel=1e-14, abs=1e-300)
 
@@ -491,8 +503,8 @@ def test_report_residual_matches_independent_reevaluation():
 
 def test_positive_sign_constant_data():
     geom = make_geom(N=16, lam=1, a=1.0, f=np.ones(16))
-    pot, rep = solve_tke(geom, 0, np.zeros(16))
-    np.testing.assert_allclose(pot.psi, 0.0, atol=1e-13)
+    psi, rep = solve_tke(geom, 0, np.zeros(16))
+    np.testing.assert_allclose(psi, 0.0, atol=1e-13)
     assert rep.residual <= 1e-10
 
 
@@ -501,7 +513,7 @@ def test_continuity_path_near_constant_is_short():
     x = g.coords()[0]
     f = 1 + 0.05 * np.sin(2 * np.pi * x)
     geom = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
-    pot, rep = continuity_solve(geom, 0, np.zeros(32))
+    psi, rep = continuity_solve(geom, 0, np.zeros(32))
     assert rep.residual <= 1e-10
     ts = [t for t, _ in rep.continuity_trace]
     assert ts[0] == 0.0 and ts[-1] == 1.0
@@ -527,10 +539,10 @@ def test_positive_sign_warm_start_skips_path():
     x = g.coords()[0]
     f = 1 + 0.05 * np.sin(2 * np.pi * x)
     geom = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
-    pot, rep1 = solve_tke(geom, 0, np.zeros(32))
-    pot2, rep2 = solve_tke(geom, 0, np.zeros(32), warm_start=pot.psi)
+    psi, rep1 = solve_tke(geom, 0, np.zeros(32))
+    psi2, rep2 = solve_tke(geom, 0, np.zeros(32), warm_start=psi)
     assert rep2.continuity_trace == [(1.0, rep2.newton_iterations)]
-    assert np.abs(pot2.psi - pot.psi).max() <= 1e-9
+    assert np.abs(psi2 - psi).max() <= 1e-9
 
 
 def test_positive_sign_direct_solve_respects_newton_budget():
@@ -548,6 +560,49 @@ def test_positive_sign_direct_solve_respects_newton_budget():
     assert rep.continuity_trace[0][0] == 0.0
     assert all(iters <= 4 for _, iters in rep.continuity_trace)
     assert rep.residual <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [-1, 1])
+def test_warm_started_slice_builds_one_hessian_per_iterate(monkeypatch, lam):
+    # one Hessian for the start, one per line-search trial and one for the
+    # normalized psi; for lam = +1 the direct attempt succeeds
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.05 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=lam, A=np.array([[[1.0]]]), f=f)
+    warm = 0.02 * np.cos(2 * np.pi * x)
+    calls = []
+    real_hessian = monge_ampere.hessian
+
+    def counted(grid, values):
+        calls.append(1)
+        return real_hessian(grid, values)
+
+    monkeypatch.setattr(monge_ampere, "hessian", counted)
+    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
+    if lam == 1:
+        assert rep.continuity_trace == [(1.0, rep.newton_iterations)]
+    assert rep.newton_iterations > 0
+    trials = sum(1 + round(-np.log2(a)) for a in rep.damping_factors)
+    assert len(calls) == 1 + trials + 1
+
+
+def test_newton_budget_below_one_is_rejected():
+    g = PeriodicGrid(1, 16)
+    x = g.coords()[0]
+    f = 1 + 0.05 * np.sin(2 * np.pi * x)
+    warm = 0.02 * np.cos(2 * np.pi * x)
+    for lam in (-1, 1):
+        geom = BackgroundGeometry(grid=g, lam=lam, A=np.array([[[1.0]]]), f=f)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="max_newton"):
+                solve_tke(geom, 0, np.zeros(16), max_newton=budget)
+            with pytest.raises(ValueError, match="max_newton"):
+                solve_tke(
+                    geom, 0, np.zeros(16), warm_start=warm, max_newton=budget
+                )
+    with pytest.raises(ValueError, match="max_newton"):
+        solve_calabi_yau(g, np.array([[1.0]]), f, max_newton=0)
 
 
 def test_newton_converging_on_its_last_allowed_step_succeeds():
@@ -570,8 +625,8 @@ def test_newton_converging_on_its_last_allowed_step_succeeds():
 
 def test_calabi_yau_constant_target():
     g = PeriodicGrid(1, 16)
-    pot, c, rep = solve_calabi_yau(g, np.array([[1.5]]), np.full(16, 2.0))
-    np.testing.assert_allclose(pot.psi, 0.0, atol=1e-13)
+    psi, c, rep = solve_calabi_yau(g, np.array([[1.5]]), np.full(16, 2.0))
+    np.testing.assert_allclose(psi, 0.0, atol=1e-13)
     assert c == pytest.approx(0.75, rel=1e-13)
 
 
@@ -588,8 +643,8 @@ def test_calabi_yau_matches_dense_reference():
 
     u0 = np.concatenate([np.zeros(8), [1.0 / g.integrate(rho)]])
     u_ref, _ = dense_newton(stacked_residual, u0, tol=1e-13)
-    pot, c, rep = solve_calabi_yau(g, A, rho, tol_inner=1e-12)
-    assert np.abs(pot.psi - u_ref[:8]).max() <= 1e-8
+    psi, c, rep = solve_calabi_yau(g, A, rho, tol_inner=1e-12)
+    assert np.abs(psi - u_ref[:8]).max() <= 1e-8
     assert c == pytest.approx(u_ref[8], rel=1e-8)
 
 
