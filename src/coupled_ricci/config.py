@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,11 @@ def load_config_file(path) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; JSON true/false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce_class_matrix(entry, n):
     """Accept a scalar (n=1), a nested row-major list, or reject."""
     if n == 1 and isinstance(entry, (int, float)) and not isinstance(entry, bool):
@@ -203,26 +209,25 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
     unknown = sorted(set(data) - _KNOWN_KEYS)
     if unknown:
         problems.append(f"unknown keys: {', '.join(unknown)}")
-    if data.get("cri_config") != SCHEMA_VERSION:
-        problems.append(
-            f"cri_config must be {SCHEMA_VERSION}, got {data.get('cri_config')!r}"
-        )
+    version = data.get("cri_config")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        problems.append(f"cri_config must be {SCHEMA_VERSION}, got {version!r}")
 
     lam = data.get("lambda")
-    if lam not in (-1, 1):
+    if isinstance(lam, bool) or lam not in (-1, 1):
         problems.append(f"lambda must be -1 or 1, got {lam!r}")
         lam = -1
 
     n = data.get("n")
     N = data.get("N")
     k = data.get("k")
-    if not isinstance(n, int) or n not in (1, 2):
+    if not _is_int(n) or n not in (1, 2):
         problems.append(f"n must be 1 or 2, got {n!r}")
         n = None
-    if not isinstance(N, int) or N < 4 or N % 2:
+    if not _is_int(N) or N < 4 or N % 2:
         problems.append(f"N must be an even integer >= 4, got {N!r}")
         N = None
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         problems.append(f"k must be an integer >= 1, got {k!r}")
         k = None
 
@@ -302,14 +307,18 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
 
     def positive_float(key, default):
         value = data.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            problems.append(f"{key} must be a positive number, got {value!r}")
+        if not (_is_int(value) or isinstance(value, float)) or not (
+            0 < value <= sys.float_info.max  # false for inf and nan
+        ):
+            problems.append(
+                f"{key} must be a positive finite number, got {value!r}"
+            )
             return default
         return float(value)
 
     def positive_int(key, default):
         value = data.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value) or value < 1:
             problems.append(f"{key} must be a positive integer, got {value!r}")
             return default
         return value

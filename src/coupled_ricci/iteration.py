@@ -9,6 +9,7 @@ which is why only that mode feeds the monotonicity checker.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -53,8 +54,9 @@ class IterationConfig:
             raise ValueError("max_newton must be at least 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if not (self.tol_fixed_point > 0.0 and self.tol_inner > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf
+                   for tol in (self.tol_fixed_point, self.tol_inner)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass

@@ -352,20 +352,18 @@ def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
 # matrix-free Newton systems
 
 
-def _newton_operators(grid, A, hess, dens, t=None):
-    """Matrix-free Newton matrix, its FFT preconditioner and a counter.
+def _newton_operators(grid, A, hess, dens, t):
+    """Matrix-free bordered Newton matrix, its FFT preconditioner and a counter.
 
     L is log_ma_linearization at the field with Hessian ``hess`` and
-    density ``dens``, applied through ``grid.stencils``.  With
-    ``t`` None the matrix is the lam=-1 Jacobian L - I; otherwise it is
-    the bordered rung matrix [[L + t*I, -1], [1^T/P, 0]] acting on
-    (delta_phi, delta_s).
+    density ``dens``, applied through ``grid.stencils``.  The matrix is
+    the rung matrix [[L + t*I, -1], [1^T/P, 0]] acting on (delta_u,
+    delta_s).
 
     The preconditioner inverts the Fourier symbol of the same stencils
-    with grid-mean coefficients.  In the bordered case the zero Fourier
-    mode and s form the 2-by-2 block [[t, -1], [1, 0]], which is
-    invertible for every t, including t = 0.  The one-element list
-    returned last counts preconditioner applications.
+    with grid-mean coefficients.  The zero Fourier mode and s form the
+    2-by-2 block [[t, -1], [1, 0]], which is invertible for every t.  The
+    one-element list returned last counts preconditioner applications.
     """
     shape = grid.shape
     P = grid.num_points
@@ -386,81 +384,58 @@ def _newton_operators(grid, A, hess, dens, t=None):
 
     # With grid-mean coefficients L is a circular convolution, so its
     # Fourier symbol is the transform of its response to a unit impulse.
+    # The grid means of the coefficients of an admissible field form a
+    # positive semidefinite matrix, so the real part of the symbol is
+    # <= 0 and symbol + t vanishes off the zero mode only for some t > 0.
     impulse = np.zeros(shape)
     impulse[zero_mode] = 1.0
     symbol = np.fft.rfftn(
         sum(c.mean() * d for c, d in zip(coeffs, grid.stencils(impulse))),
         axes=axes,
     )
+    denom = symbol + t
+    denom[zero_mode] = 1.0
+    inv_symbol = 1.0 / denom
+    inv_symbol[zero_mode] = 0.0
     applications = [0]
 
-    def fourier_solve(r, inv_symbol):
+    def matvec(x):
+        v = x[:P].reshape(shape)
+        out = np.empty(P + 1)
+        out[:P] = (apply_L(v) + t * v).ravel() - x[P]
+        out[P] = v.sum() / P
+        return out
+
+    def psolve(x):
         applications[0] += 1
-        return np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
+        r = x[:P].reshape(shape)
+        out = np.empty(P + 1)
+        inv_r = np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
+        out[:P] = (inv_r + x[P]).ravel()
+        out[P] = t * x[P] - r.sum() / P
+        return out
 
-    if t is None:
-        # The real part of the symbol is <= 0 on admissible fields, so
-        # symbol - 1 never vanishes.
-        inv_symbol = 1.0 / (symbol - 1.0)
-
-        def matvec(x):
-            v = x.reshape(shape)
-            return (apply_L(v) - v).ravel()
-
-        def psolve(x):
-            return fourier_solve(x.reshape(shape), inv_symbol).ravel()
-
-        size = P
-    else:
-        denom = symbol + t
-        denom[zero_mode] = 1.0
-        inv_symbol = 1.0 / denom
-        inv_symbol[zero_mode] = 0.0
-
-        def matvec(x):
-            v = x[:P].reshape(shape)
-            out = np.empty(P + 1)
-            out[:P] = (apply_L(v) + t * v).ravel() - x[P]
-            out[P] = v.mean()
-            return out
-
-        def psolve(x):
-            r = x[:P].reshape(shape)
-            out = np.empty(P + 1)
-            out[:P] = (fourier_solve(r, inv_symbol) + x[P]).ravel()
-            out[P] = t * x[P] - r.mean()
-            return out
-
-        size = P + 1
+    size = P + 1
     operator = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
     preconditioner = spla.LinearOperator((size, size), matvec=psolve, dtype=float)
     return operator, preconditioner, applications
 
 
-def _newton_direction(grid, A, hess, dens, res, tol, t=None, mean=0.0,
+def _newton_direction(grid, A, hess, dens, res, tol, t, mean,
                       rtol=_KRYLOV_RTOL):
     """Newton direction by FFT-preconditioned GMRES.
 
     Solves the system of :func:`_newton_operators` for the right-hand
-    side -(res, mean) (no ``mean`` row when ``t`` is None) to the
-    relative tolerance ``rtol``, with an absolute floor set by the
-    Newton tolerance ``tol``.  Returns
-    (delta_phi, delta_s, krylov_iterations); raises NoConvergence rather
+    side -(res, mean) to the relative tolerance ``rtol``, with an
+    absolute floor set by the Newton tolerance ``tol``.  Returns
+    (delta_u, delta_s, krylov_iterations); raises NoConvergence rather
     than return an unconverged direction.
     """
     operator, preconditioner, applications = _newton_operators(
         grid, A, hess, dens, t
     )
     P = grid.num_points
-    if t is None:
-        # (L - I) 1 = -1 holds exactly, so the constant part of the
-        # right-hand side is solved in closed form; a relative Krylov
-        # tolerance would leave a multiple of it behind.
-        const = float(res.mean())
-        rhs = const - res.ravel()
-    else:
-        const = 0.0
-        rhs = -np.append(res.ravel(), mean)
+    rhs = -np.append(res.ravel(), mean)
     sol, info = gmres(
         operator, rhs,
         rtol=rtol,
@@ -476,24 +451,22 @@ def _newton_direction(grid, A, hess, dens, res, tol, t=None, mean=0.0,
             f"{applications[0]} preconditioned iterations; relative "
             f"residual {reached:.3e}"
         )
-    delta = sol[:P].reshape(grid.shape) + const
-    delta_s = float(sol[P]) if t is not None else 0.0
-    return delta, delta_s, applications[0]
+    return sol[:P].reshape(grid.shape), float(sol[P]), applications[0]
 
 
 # ---------------------------------------------------------------------------
 # damped Newton driver
 
 
-def _line_search(grid, A, phi, s, delta, delta_s, res_norm, residual):
+def _line_search(grid, A, u, s, delta, delta_s, res_norm, residual):
     """Backtrack until the iterate stays admissible and the residual drops.
 
-    Returns the accepted (phi, s, hess, dens, res, norm, alpha).
+    Returns the accepted (u, s, hess, dens, res, norm, alpha).
     """
     alpha = 1.0
     saw_admissible = False
     for _ in range(_MAX_HALVINGS):
-        cand = phi + alpha * delta
+        cand = u + alpha * delta
         hess = hessian(grid, cand)
         dens = _cone_density(grid, A, hess)
         if dens is not None:
@@ -511,41 +484,32 @@ def _line_search(grid, A, phi, s, delta, delta_s, res_norm, residual):
     raise NoConvergence("Newton line search failed to reduce the residual")
 
 
-def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
-    """Damped Newton for one slice equation in log form.
+def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=0.0):
+    """Damped Newton for one slice equation in log form,
 
-    With ``t`` None it solves the lam=-1 form
+        log ma_density(A, u) + t*u - rhs - s = 0,  mean u = 0,
 
-        log ma_density(A, phi) - phi - rhs = 0
-
-    and s stays 0.  Otherwise it solves the bordered rung equation
-
-        log ma_density(A, phi) + t*phi - rhs - s = 0,  mean phi = 0,
-
-    with the constant s as an extra unknown started at ``s0``; with
-    ``s0`` None, s starts at the mean of the rung residual at s = 0.
-    Raises NonAdmissible when ``phi0`` is outside the cone.  Returns
-    (phi, s, SolveReport).
+    over (u, s).  u starts at ``phi0`` minus its mean and s at ``s0``;
+    with ``s0`` None, s starts at the mean of the residual at s = 0.
+    t = -1 is the lam=-1 slice equation, s its compatibility constant;
+    t in [0, 1] are the rungs of the lam=+1 continuity path.  Raises
+    NonAdmissible when ``phi0`` is outside the cone.  Returns
+    (u, s, SolveReport).
     """
     if max_newton < 1:
         raise ValueError(f"max_newton must be at least 1, got {max_newton}")
-    form = "monotone" if t is None else "bordered"
-    phi = np.asarray(phi0, dtype=float).copy()
-    if t is not None:
-        phi = phi - phi.mean()
-    hess = hessian(grid, phi)
+    u = np.asarray(phi0, dtype=float)
+    u = u - u.mean()
+    hess = hessian(grid, u)
     dens = _cone_density(grid, A, hess)
     if dens is None:
-        raise NonAdmissible(f"{form} solve needs an admissible start")
+        raise NonAdmissible("Newton solve needs an admissible start")
 
     def residual(cand, cand_s, cand_dens):
-        log_dens = np.log(cand_dens)
-        if t is None:
-            return log_dens - cand - rhs
-        return log_dens + t * cand - rhs - cand_s
+        return np.log(cand_dens) + t * cand - rhs - cand_s
 
-    s = float(residual(phi, 0.0, dens).mean()) if s0 is None else float(s0)
-    res = residual(phi, s, dens)
+    s = float(residual(u, 0.0, dens).mean()) if s0 is None else float(s0)
+    res = residual(u, s, dens)
     norm = float(np.abs(res).max())
     history = [norm]
     dampings = []
@@ -553,19 +517,16 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
     while norm > tol:
         if len(dampings) == max_newton:
             raise NoConvergence(
-                f"{form} Newton stalled at residual {norm:.3e} after "
+                f"Newton stalled at residual {norm:.3e} after "
                 f"{max_newton} iterations"
             )
-        # GMRES solves all of a bordered residual, but only the
-        # non-constant part of a lam=-1 one (see _newton_direction).
-        solved = res if t is not None else res - res.mean()
-        forcing = float(np.clip(np.abs(solved).max(), _KRYLOV_RTOL, _FORCING_MAX))
+        forcing = float(np.clip(norm, _KRYLOV_RTOL, _FORCING_MAX))
         delta, delta_s, its = _newton_direction(
-            grid, A, hess, dens, res, tol, t=t, mean=phi.mean(), rtol=forcing
+            grid, A, hess, dens, res, tol, t, u.mean(), rtol=forcing
         )
         krylov.append(its)
-        phi, s, hess, dens, res, norm, alpha = _line_search(
-            grid, A, phi, s, delta, delta_s, norm, residual
+        u, s, hess, dens, res, norm, alpha = _line_search(
+            grid, A, u, s, delta, delta_s, norm, residual
         )
         dampings.append(alpha)
         history.append(norm)
@@ -573,29 +534,23 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t=None, s0=0.0):
         newton_iterations=len(dampings), damping_factors=dampings,
         residual_history=history, krylov_iterations=krylov,
     )
-    return phi, s, report
+    return u, s, report
 
 
 # ---------------------------------------------------------------------------
 # public slice solvers
 
 
-def _normalize(phi, mode):
-    """Return (psi, shift) with psi = phi - shift in the requested gauge."""
-    if mode == "sup":
-        shift = float(phi.max())
-    elif mode == "mean":
-        shift = float(phi.mean())
-    else:
-        raise ValueError(f"unknown norm_mode {mode!r}")
-    return phi - shift, shift
-
-
-def _finalize(geom, index, g, phi, mode, tol_inner, report):
-    """Normalize, recompute the compatibility constant, record the residual."""
+def _finalize(geom, index, g, u, mode, tol_inner, report):
+    """Shift u into the gauge, recompute c and record the residual."""
     grid = geom.grid
     A = geom.A[index]
-    psi, _ = _normalize(phi, mode)
+    if mode == "sup":
+        psi = u - float(u.max())
+    elif mode == "mean":
+        psi = u - float(u.mean())
+    else:
+        raise ValueError(f"unknown norm_mode {mode!r}")
     dens = ma_density(grid, A, psi)
     weight = np.exp(-geom.lam * (psi + g)) * geom.f
     c = grid.integrate(dens) / grid.integrate(weight)
@@ -633,32 +588,31 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     if not np.all(np.isfinite(g)):
         raise ValueError("coupling field g must be finite")
     inner_tol = 0.25 * tol_inner
-    log_f = np.log(geom.f)
+    # the rung equation at t = lam, whose constant s takes log c
+    rhs = np.log(geom.f) - geom.lam * g
 
     if geom.lam == -1:
         cold = np.zeros(grid.shape)
         phi0 = cold if warm_start is None else warm_start
         try:
-            phi, _, report = _damped_newton(
-                grid, A, g + log_f, inner_tol, phi0, max_newton
+            u, _, report = _damped_newton(
+                grid, A, rhs, inner_tol, phi0, max_newton, -1.0, s0=None
             )
         except NonAdmissible:  # the warm start lies outside the cone
-            phi, _, report = _damped_newton(
-                grid, A, g + log_f, inner_tol, cold, max_newton
+            u, _, report = _damped_newton(
+                grid, A, rhs, inner_tol, cold, max_newton, -1.0, s0=None
             )
-        return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
+        return _finalize(geom, index, g, u, norm_mode, tol_inner, report)
 
     # lam = +1: try a direct solve from the warm start, else walk the path.
     if warm_start is not None:
         try:
-            phi, _, report = _damped_newton(
-                grid, A, log_f - g, inner_tol, warm_start,
-                min(max_newton, 20), t=1.0, s0=None,
+            u, _, report = _damped_newton(
+                grid, A, rhs, inner_tol, warm_start,
+                min(max_newton, 20), 1.0, s0=None,
             )
             report.continuity_trace = [(1.0, report.newton_iterations)]
-            return _finalize(
-                geom, index, g, phi, norm_mode, tol_inner, report
-            )
+            return _finalize(geom, index, g, u, norm_mode, tol_inner, report)
         except (NonAdmissible, NoConvergence, NonAdmissibleStep):
             logger.debug(
                 "direct positive-sign solve failed for class %d; "

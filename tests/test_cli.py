@@ -54,6 +54,16 @@ def test_validate_rejects_nonpositive_density(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_run_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    assert run_cli(["run", "neg-k1-sine", "--tol", tol, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration invalid" in err
+    assert "tol_fixed_point must be a positive finite number" in err
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_one(capsys):
     assert run_cli(["run", "no-such-preset"]) == 1
     err = capsys.readouterr().err
@@ -223,6 +233,30 @@ def test_seed_key_is_unknown():
     with pytest.raises(ValidationError) as excinfo:
         build_run_config(cfg)
     assert excinfo.value.violations == ["unknown keys: seed"]
+
+
+@pytest.mark.parametrize("key", ["n", "k", "lambda", "cri_config"])
+def test_build_run_config_rejects_booleans(key):
+    # JSON true is a Python int equal to 1; it is no integer of the schema
+    cfg = get_preset("neg-k2-sine")
+    cfg[key] = True
+    cfg["mode"] = "sor"
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    violations = excinfo.value.violations
+    assert any(v.startswith(f"{key} must be") and "True" in v for v in violations)
+    assert any(v.startswith("mode must be") for v in violations)
+
+
+def test_build_run_config_rejects_non_finite_tolerances():
+    cfg = get_preset("neg-k2-sine")
+    cfg.update(json.loads('{"tol_inner": NaN, "tol_fixed_point": Infinity}'))
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == [
+        "tol_fixed_point must be a positive finite number, got inf",
+        "tol_inner must be a positive finite number, got nan",
+    ]
 
 
 def test_field_entry_forms(tmp_path):

@@ -40,6 +40,10 @@ def sine_geom(N=32, k=2, lam=-1, amp=0.5, a=1.0):
         {"tol_fixed_point": 0.0},
         {"max_newton": 0},
         {"max_newton": -1},
+        {"tol_inner": float("inf")},
+        {"tol_inner": float("nan")},
+        {"tol_fixed_point": float("inf")},
+        {"tol_fixed_point": float("nan")},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -88,6 +92,21 @@ def test_sine_problem_converges_and_descends():
     # D decreases from the zero tuple
     d = state.ledger.column("D")
     assert d[-1] <= d[0]
+
+
+def test_two_dim_problem_at_n256_converges():
+    # the gs2d-n128 benchmark problem on a finer grid: with the constant
+    # of the slice inside the Newton iterate, the first sweep failed at
+    # the rounding floor of the h^-2 stencils
+    A = [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]]
+    cfg = build_run_config({
+        "cri_config": 1, "lambda": -1, "n": 2, "N": 256, "k": 2, "A": A,
+        "f": "1 + 0.3*sin(2*pi*x_1)*cos(2*pi*x_2)",
+    })
+    state = run(cfg.geometry(), cfg.iteration_config())
+    assert state.converged
+    assert state.step == 3
+    assert state.monotone_report.ok
 
 
 def test_non_admissible_init_accepted(caplog):

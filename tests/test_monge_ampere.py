@@ -254,14 +254,12 @@ def _random_admissible(n, N, seed):
 def _assembled_system(g, A, phi, t):
     lin = log_ma_linearization(g, A, phi)
     P = g.num_points
-    if t is None:
-        return lin - sp.identity(P)
     ones = np.ones((P, 1))
     return sp.bmat([[lin + t * sp.identity(P), -ones], [ones.T / P, None]])
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-@pytest.mark.parametrize("t", [None, 0.0, 0.7])
+@pytest.mark.parametrize("t", [-1.0, 0.0, 0.7])
 def test_matrix_free_operator_matches_assembled_jacobian(n, N, t):
     g, A, phi, rng = _random_admissible(n, N, 20)
     hess = hessian(g, phi)
@@ -277,50 +275,49 @@ def test_matrix_free_operator_matches_assembled_jacobian(n, N, t):
 
 
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
-@pytest.mark.parametrize("t", [None, 0.0, 1.0])
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0])
 def test_krylov_direction_matches_newton_step(n, N, t):
     # t = 0 exercises the zero-mode block of the bordered preconditioner
     g, A, phi, rng = _random_admissible(n, N, 21)
     rhs = 0.1 * rng.standard_normal(g.shape)
     hess = hessian(g, phi)
     dens = ma_density(g, A, hess=hess)
-    log_dens = np.log(dens)
-    if t is None:
-        res = log_dens - phi - rhs
-        want, want_s, _ = newton_step(g, A, -1, rhs, phi)
-        got, got_s, its = monge_ampere._newton_direction(
-            g, A, hess, dens, res, 2.5e-11
-        )
-    else:
-        s = 0.05
-        res = log_dens + t * phi - rhs - s
-        want, want_s, _ = newton_step(g, A, 1, rhs, phi, s=s, t=t)
-        got, got_s, its = monge_ampere._newton_direction(
-            g, A, hess, dens, res, 2.5e-11, t=t, mean=phi.mean()
-        )
+    s = 0.05
+    res = np.log(dens) + t * phi - rhs - s
+    want, want_s, _ = newton_step(g, A, 1, rhs, phi, s=s, t=t)
+    got, got_s, its = monge_ampere._newton_direction(
+        g, A, hess, dens, res, 2.5e-11, t, phi.mean()
+    )
     assert its > 0
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     assert got_s == pytest.approx(want_s, rel=0, abs=1e-10 * max(1.0, abs(want_s)))
+    if t == -1.0:
+        # the rung at t = -1 is the lam = -1 equation for phi + s, and its
+        # Newton step moves phi + s by the lam = -1 step of newton_step
+        want_phi, _, _ = newton_step(g, A, -1, rhs, phi + s)
+        tol = 1e-10 * max(1.0, np.abs(want_phi).max())
+        assert np.abs(got + got_s - want_phi).max() <= tol
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6])
 def test_constant_shifted_warm_start_takes_one_newton_step(eps):
     # As in an outer sweep of a stiff problem: the warm start is the sup-gauge
-    # solution of a slice whose coupling differs by eps, so the residual is a
-    # constant of about log(1000) plus an O(eps) remainder.  The exact
-    # constant-mode solve removes the constant in one Newton step; a relative
-    # Krylov tolerance alone would leave about 1e-10 of it behind.
+    # solution of a slice whose coupling differs by eps, so its lam = -1
+    # residual is a constant of about log(1000) plus an O(eps) remainder.
+    # The compatibility constant s starts at the residual's mean and takes
+    # the constant, so at most one full Newton step is left.
     g = PeriodicGrid(1, 64)
     x = g.coords()[0]
     f = 1 + 0.5 * np.sin(2 * np.pi * x)
-    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1000.0]]]), f=f)
+    A = np.array([[[1000.0]]])
+    geom = BackgroundGeometry(grid=g, lam=-1, A=A, f=f)
     psi, _ = solve_tke(geom, 0, np.zeros(64))
-    _, rep = solve_tke(
-        geom, 0, eps * np.cos(2 * np.pi * x), warm_start=psi
-    )
-    assert rep.residual_history[0] > 1.0
-    assert rep.newton_iterations == 1
-    assert rep.damping_factors == [1.0]
+    coupling = eps * np.cos(2 * np.pi * x)
+    raw = np.log(ma_density(g, A[0], psi)) - psi - np.log(f) - coupling
+    assert abs(raw.mean()) > 1.0
+    _, rep = solve_tke(geom, 0, coupling, warm_start=psi)
+    assert rep.newton_iterations <= 1
+    assert all(a == 1.0 for a in rep.damping_factors)
 
 
 def test_unconverged_krylov_solve_raises(monkeypatch):
@@ -458,6 +455,18 @@ def test_random_densities_always_solve():
         geom = BackgroundGeometry(grid=g, lam=-1, A=A, f=f)
         psi, rep = solve_tke(geom, 0, np.zeros(g.shape))
         assert rep.residual <= 1e-10
+
+
+def test_small_class_matrix_slice_reaches_default_tolerance():
+    # the compatibility constant is about -7 here; kept inside the iterate,
+    # it rounded the h^-2 stencils above the tolerance and the line search
+    # failed at a residual of 1e-8
+    g = PeriodicGrid(1, 64)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1e-3]]]), f=f)
+    _, rep = solve_tke(geom, 0, np.zeros(64))
+    assert rep.residual <= 1e-10
 
 
 def test_sup_normalization_is_exact():
