@@ -63,11 +63,16 @@ def _write_run_outputs(out_dir, cfg: RunConfig, state) -> None:
     final_d = rows[-1]["D"] if rows else float("nan")
     summary = {
         "mode": cfg.mode,
+        "accel": cfg.accel,
         "lambda": cfg.lam,
         "n": cfg.n,
         "N": cfg.N,
         "k": cfg.k,
         "steps": state.step,
+        "extrapolations": {
+            "accepted": state.extrapolations_accepted,
+            "rejected": state.extrapolations_rejected,
+        },
         "converged": bool(state.converged),
         "reason": state.reason,
         "final_D": _summary_value(final_d),
@@ -153,6 +158,7 @@ def _downsample_config(cfg: RunConfig, target_n: int = 8) -> RunConfig:
         "max_outer": cfg.max_outer,
         "mode": cfg.mode,
         "norm_mode": cfg.norm_mode,
+        "accel": cfg.accel,
     }
     if cfg.f_spec and cfg.f_spec != "<data>":
         data["f"] = cfg.f_spec

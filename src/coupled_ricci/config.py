@@ -23,7 +23,7 @@ SCHEMA_VERSION = 1
 _KNOWN_KEYS = {
     "cri_config", "name", "lambda", "n", "N", "k", "A", "f", "init",
     "mode", "norm_mode", "sweep_order", "tol_fixed_point", "tol_inner",
-    "max_outer", "max_newton", "record_every", "out",
+    "max_outer", "max_newton", "record_every", "accel", "out",
 }
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -113,6 +113,7 @@ class RunConfig:
     max_outer: int = 200
     max_newton: int = 40
     record_every: int = 1
+    accel: str = "anderson"
     out: str | None = None
 
     @property
@@ -132,6 +133,7 @@ class RunConfig:
             max_newton=self.max_newton,
             record_every=self.record_every,
             sweep_order=self.sweep_order,
+            accel=self.accel,
         )
 
 
@@ -210,11 +212,11 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
     if unknown:
         problems.append(f"unknown keys: {', '.join(unknown)}")
     version = data.get("cri_config")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         problems.append(f"cri_config must be {SCHEMA_VERSION}, got {version!r}")
 
     lam = data.get("lambda")
-    if isinstance(lam, bool) or lam not in (-1, 1):
+    if not _is_int(lam) or lam not in (-1, 1):
         problems.append(f"lambda must be -1 or 1, got {lam!r}")
         lam = -1
 
@@ -304,6 +306,9 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
     sweep_order = data.get("sweep_order", "forward")
     if sweep_order not in ("forward", "reverse"):
         problems.append(f"sweep_order must be forward or reverse, got {sweep_order!r}")
+    accel = data.get("accel", "anderson")
+    if accel not in ("anderson", "none"):
+        problems.append(f"accel must be anderson or none, got {accel!r}")
 
     def positive_float(key, default):
         value = data.get(key, default)
@@ -355,5 +360,6 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
         max_outer=max_outer,
         max_newton=max_newton,
         record_every=record_every,
+        accel=accel,
         out=out,
     )

@@ -19,6 +19,7 @@ PRESETS = {
     "neg-k2-sine-n8": {**_BASE_SINE, "N": 8},
     "neg-k1-sine": {**_BASE_SINE, "N": 32, "k": 1, "A": [1.0]},
     "jacobi-k2-sine": {**_BASE_SINE, "mode": "jacobi"},
+    "neg-k2-stiff": {**_BASE_SINE, "A": [1000.0, 1300.0]},
     "const-k2": {
         "cri_config": 1,
         "lambda": -1,
@@ -62,10 +63,13 @@ DESCRIPTIONS = {
     "neg-k2-sine-n8": "coarse N=8 variant used for reference cross-checks",
     "neg-k1-sine": "single class, lambda=-1, degenerates to one solve",
     "jacobi-k2-sine": "neg-k2-sine swept in Jacobi mode (no descent guarantee)",
+    "neg-k2-stiff": "neg-k2-sine with A scaled by 1e3; the plain sweep needs "
+                    "over 200 steps",
     "const-k2": "constant density, converged at step zero",
     "neg-k2-2d": "two classes on the 2-d torus with an anisotropic background",
     "pos-k2-mild": "lambda=+1 with a gentle density, continuity path cruises",
-    "pos-k2-steep": "lambda=+1 past the fold of the continuity path; breaks down",
+    "pos-k2-steep": "lambda=+1 with a steep density; the continuity path "
+                    "stops at the Newton residual floor",
 }
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from coupled_ricci.cli import main
+from coupled_ricci.cli import _downsample_config, main
 from coupled_ricci.config import build_run_config
 from coupled_ricci.errors import ValidationError
 from coupled_ricci.grid import read_field
@@ -93,9 +93,11 @@ def test_run_writes_the_full_output_set(tmp_path, capsys):
 
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary) == [
-        "mode", "lambda", "n", "N", "k", "steps", "converged",
-        "reason", "final_D", "final_rho_max", "wall_ms",
+        "mode", "accel", "lambda", "n", "N", "k", "steps", "extrapolations",
+        "converged", "reason", "final_D", "final_rho_max", "wall_ms",
     ]
+    assert summary["accel"] == "anderson"
+    assert set(summary["extrapolations"]) == {"accepted", "rejected"}
     assert summary["converged"] is True
     assert summary["reason"] == "converged"
     assert summary["lambda"] == -1
@@ -125,6 +127,33 @@ def test_run_exit_three_on_inner_breakdown(tmp_path, capsys):
     assert summary["converged"] is False
     # the final tuple may be outside the cone, giving an undefined residual
     assert summary["final_rho_max"] is None or summary["final_rho_max"] >= 0
+
+
+def test_stiff_preset_needs_the_outer_acceleration(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", "neg-k2-stiff", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["accel"] == "anderson"
+    assert summary["extrapolations"]["accepted"] > 0
+    dvals = [float(line.split()[1])
+             for line in (out / "ding.dat").read_text().splitlines()[1:]]
+    assert all(b <= a + 1e-9 * (1 + abs(a)) for a, b in zip(dvals, dvals[1:]))
+
+    cfg = get_preset("neg-k2-stiff")
+    cfg["accel"] = "none"
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(cfg))
+    plain = tmp_path / "plain"
+    assert run_cli(["run", str(path), "--out", str(plain)]) == 2
+    summary = json.loads((plain / "summary.json").read_text())
+    assert summary["accel"] == "none"
+    assert summary["extrapolations"] == {"accepted": 0, "rejected": 0}
+
+
+def test_oracle_config_keeps_the_accel_key():
+    cfg = get_preset("neg-k2-sine")
+    cfg["accel"] = "none"
+    assert _downsample_config(build_run_config(cfg)).accel == "none"
 
 
 def test_run_accepts_json_config_path(tmp_path):
@@ -246,6 +275,31 @@ def test_build_run_config_rejects_booleans(key):
     violations = excinfo.value.violations
     assert any(v.startswith(f"{key} must be") and "True" in v for v in violations)
     assert any(v.startswith("mode must be") for v in violations)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda", -1.0, "lambda must be -1 or 1, got -1.0"),
+    ("cri_config", 1.0, "cri_config must be 1, got 1.0"),
+])
+def test_build_run_config_rejects_float_integers(key, value, message):
+    cfg = get_preset("neg-k2-sine")
+    cfg[key] = value
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == [message]
+
+
+@pytest.mark.parametrize("value", ["fast", "Anderson", True, 1, None])
+def test_build_run_config_rejects_unknown_accel(value):
+    cfg = get_preset("neg-k2-sine")
+    cfg["accel"] = value
+    cfg["mode"] = "sor"
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == [
+        "mode must be gauss_seidel or jacobi, got 'sor'",
+        f"accel must be anderson or none, got {value!r}",
+    ]
 
 
 def test_build_run_config_rejects_non_finite_tolerances():

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupled_ricci import (
     BackgroundGeometry,
@@ -13,6 +15,12 @@ from coupled_ricci import (
     step_gauss_seidel,
 )
 from coupled_ricci.config import build_run_config
+from coupled_ricci.iteration import (
+    ANDERSON_DEPTH,
+    IterationState,
+    _accelerate,
+    _Anderson,
+)
 from coupled_ricci.scenarios import get_preset
 
 
@@ -32,6 +40,8 @@ def sine_geom(N=32, k=2, lam=-1, amp=0.5, a=1.0):
     "kwargs",
     [
         {"mode": "sor"},
+        {"accel": "fast"},
+        {"accel": True},
         {"norm_mode": "l2"},
         {"sweep_order": "shuffled"},
         {"max_outer": 0},
@@ -183,6 +193,95 @@ def test_max_outer_reports_without_error():
     assert state.reason == "max_outer"
     assert state.error is None
     assert state.step == 1
+
+
+# ---------------------------------------------------------------------------
+# outer acceleration
+
+
+def test_plain_iteration_is_repeated_sweeps():
+    geom = sine_geom()
+    config = IterationConfig(accel="none")
+    state = run(geom, config)
+    assert state.converged
+    assert state.extrapolations_accepted == state.extrapolations_rejected == 0
+    psis = np.zeros((2,) + geom.grid.shape)
+    for _ in range(state.step):
+        psis, _ = step_gauss_seidel(geom, psis, config)
+    assert np.array_equal(state.psis, psis)
+
+
+def test_anderson_solves_an_affine_map_in_dimension_plus_one_steps():
+    # Type-II Anderson with depth >= dim reproduces GMRES on an affine
+    # map, so the extrapolation after dim + 1 outputs is the fixed point.
+    rng = np.random.default_rng(0)
+    dim = ANDERSON_DEPTH
+    mat = 0.5 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    vec = rng.standard_normal(dim)
+    fixed = np.linalg.solve(np.eye(dim) - mat, vec)
+    history = _Anderson()
+    x = np.zeros(dim)
+    assert history.extrapolate() is None
+    for _ in range(dim + 1):
+        gx = mat @ x + vec
+        history.push(x, gx)
+        x = history.extrapolate() if len(history.residuals) > 1 else gx
+    np.testing.assert_allclose(x, fixed, rtol=0, atol=1e-8)
+    history.restart()
+    assert len(history.residuals) == len(history.outputs) == 1
+
+
+def test_safeguard_takes_only_candidates_that_descend(monkeypatch):
+    geom = sine_geom()
+    fixed = run(geom).psis
+    bump = 0.01 * np.cos(2 * np.pi * geom.grid.coords()[0])
+    state = IterationState(geom=geom, config=IterationConfig(), psis=fixed)
+    history = _Anderson()
+    history.push(np.zeros_like(fixed), fixed)
+
+    # D is smallest at the fixed point, so a bumped candidate is refused
+    # and the history restarts from the newest pair
+    monkeypatch.setattr(history, "extrapolate", lambda: fixed + bump)
+    assert _accelerate(state, history, fixed, fixed) is fixed
+    assert len(history.residuals) == len(history.outputs) == 1
+    # a candidate below the sweep output is taken, shifted into the gauge
+    monkeypatch.setattr(history, "extrapolate", lambda: fixed + 0.3)
+    taken = _accelerate(state, history, fixed, fixed + bump)
+    np.testing.assert_allclose(taken, fixed, rtol=0, atol=1e-15)
+    # a candidate outside the cone is refused
+    monkeypatch.setattr(history, "extrapolate", lambda: fixed + 10 * bump)
+    assert _accelerate(state, history, fixed, fixed) is fixed
+    assert (state.extrapolations_accepted, state.extrapolations_rejected) == (1, 2)
+
+
+def test_anderson_cuts_the_stiff_sweep_count():
+    geom = sine_geom(N=64, a=1000.0)
+    geom.A[1] = 1300.0
+    state = run(geom)
+    assert state.converged
+    assert state.step <= 25
+    assert state.extrapolations_accepted > state.extrapolations_rejected
+    assert state.monotone_report.ok
+    # a taken candidate is shifted back into the sup gauge
+    np.testing.assert_array_equal(state.psis.max(axis=1), 0.0)
+    plain = run(geom, IterationConfig(accel="none", max_outer=25))
+    assert plain.reason == "max_outer"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    N=st.sampled_from([16, 32]),
+    a=st.floats(min_value=1.0, max_value=1e3),
+    b=st.floats(min_value=0.0, max_value=0.8),
+)
+def test_accelerated_runs_reach_the_fixed_point(N, a, b):
+    geom = sine_geom(N=N, amp=b, a=a)
+    geom.A[1] = 1.3 * a
+    state = run(geom)
+    assert state.converged
+    assert state.monotone_report.ok
+    again, _ = step_gauss_seidel(geom, state.psis, state.config)
+    assert np.abs(again - state.psis).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
