@@ -8,6 +8,7 @@ solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -15,10 +16,10 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, build_run_config, load_config_file
+from .config import RunConfig, build_run_config, eval_field_expr, load_config_file
 from .errors import OracleIntractable, ParseError, ValidationError
 from .functionals import ding
-from .grid import write_field
+from .grid import PeriodicGrid, write_field
 from .iteration import run
 from .oracle import oracle_ding_descent, oracle_fixed_point
 from .scenarios import DESCRIPTIONS, PRESETS, get_preset, preset_names
@@ -62,8 +63,8 @@ def _write_run_outputs(out_dir, cfg: RunConfig, state) -> None:
     rows = state.ledger.rows
     final_d = rows[-1]["D"] if rows else float("nan")
     summary = {
-        "mode": cfg.mode,
-        "accel": cfg.accel,
+        "mode": cfg.iteration.mode,
+        "accel": cfg.iteration.accel,
         "lambda": cfg.lam,
         "n": cfg.n,
         "N": cfg.N,
@@ -110,7 +111,7 @@ def cmd_run(args) -> int:
         overrides["mode"] = {"gs": "gauss_seidel", "jacobi": "jacobi"}[args.mode]
     cfg = _resolve_config(args.config, overrides)
     geom = cfg.geometry()
-    state = run(geom, cfg.iteration_config(), init=cfg.init)
+    state = run(geom, cfg.iteration, init=cfg.init)
     out_dir = cfg.out or f"cri-out-{cfg.name}"
     _write_run_outputs(out_dir, cfg, state)
     print(
@@ -128,7 +129,7 @@ def cmd_validate(args) -> int:
     cfg = _resolve_config(args.config)
     print(
         f"OK: lambda={cfg.lam} n={cfg.n} N={cfg.N} k={cfg.k} "
-        f"mode={cfg.mode} f={cfg.f_spec!r}"
+        f"mode={cfg.iteration.mode} f={cfg.f_spec!r}"
     )
     return EXIT_OK
 
@@ -137,35 +138,22 @@ def _downsample_config(cfg: RunConfig, target_n: int = 8) -> RunConfig:
     """Shrink a config onto a coarse grid the dense reference can handle.
 
     A coarse size of 8 per axis keeps even 2-d problems at the dense
-    limit of 64 points.
+    limit of 64 points.  A density expression is evaluated again on the
+    coarse grid, density data is sampled at the stride, and every
+    iteration setting carries over.
     """
     coarse_n = min(cfg.N, target_n)
     if cfg.N % coarse_n:
         raise OracleIntractable(
             f"grid N={cfg.N} is not divisible by the coarse size {coarse_n}"
         )
-    stride = cfg.N // coarse_n
-    data = {
-        "cri_config": 1,
-        "name": cfg.name + "-coarse",
-        "lambda": cfg.lam,
-        "n": cfg.n,
-        "N": coarse_n,
-        "k": cfg.k,
-        "A": [mat.tolist() for mat in cfg.A],
-        "tol_fixed_point": cfg.tol_fixed_point,
-        "tol_inner": cfg.tol_inner,
-        "max_outer": cfg.max_outer,
-        "mode": cfg.mode,
-        "norm_mode": cfg.norm_mode,
-        "accel": cfg.accel,
-    }
     if cfg.f_spec and cfg.f_spec != "<data>":
-        data["f"] = cfg.f_spec
+        f = eval_field_expr(cfg.f_spec, PeriodicGrid(n=cfg.n, N=coarse_n))
     else:
-        sl = (slice(None, None, stride),) * cfg.n
-        data["f"] = [float(v) for v in cfg.f[sl].ravel(order="C")]
-    return build_run_config(data, name=data["name"])
+        f = cfg.f[(slice(None, None, cfg.N // coarse_n),) * cfg.n].copy()
+    return dataclasses.replace(
+        cfg, name=cfg.name + "-coarse", N=coarse_n, f=f, init=None
+    )
 
 
 def compare_oracle(geom, engine_psis, oracle_psis, oracle_d) -> dict:
@@ -183,7 +171,7 @@ def cmd_oracle(args) -> int:
     cfg = _resolve_config(args.config)
     coarse = _downsample_config(cfg)
     geom = coarse.geometry()
-    state = run(geom, coarse.iteration_config())
+    state = run(geom, coarse.iteration)
     if not state.converged:
         print(f"engine did not converge on the coarse problem: {state.reason}")
         return (

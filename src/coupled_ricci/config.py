@@ -8,22 +8,22 @@ from __future__ import annotations
 
 import ast
 import json
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .grid import PeriodicGrid, read_field
 from .iteration import IterationConfig
-from .monge_ampere import BackgroundGeometry
+from .monge_ampere import BackgroundGeometry, class_matrix_problem
 
 SCHEMA_VERSION = 1
 
+# The keys of the outer-iteration settings are the IterationConfig fields.
+_SETTINGS = tuple(setting.name for setting in fields(IterationConfig))
 _KNOWN_KEYS = {
-    "cri_config", "name", "lambda", "n", "N", "k", "A", "f", "init",
-    "mode", "norm_mode", "sweep_order", "tol_fixed_point", "tol_inner",
-    "max_outer", "max_newton", "record_every", "accel", "out",
+    "cri_config", "name", "lambda", "n", "N", "k", "A", "f", "init", "out",
+    *_SETTINGS,
 }
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -105,15 +105,7 @@ class RunConfig:
     f: np.ndarray
     f_spec: str
     init: np.ndarray | None
-    mode: str = "gauss_seidel"
-    norm_mode: str = "sup"
-    sweep_order: str = "forward"
-    tol_fixed_point: float = 1e-8
-    tol_inner: float = 1e-10
-    max_outer: int = 200
-    max_newton: int = 40
-    record_every: int = 1
-    accel: str = "anderson"
+    iteration: IterationConfig = field(default_factory=IterationConfig)
     out: str | None = None
 
     @property
@@ -122,19 +114,6 @@ class RunConfig:
 
     def geometry(self) -> BackgroundGeometry:
         return BackgroundGeometry(grid=self.grid, lam=self.lam, A=self.A, f=self.f)
-
-    def iteration_config(self) -> IterationConfig:
-        return IterationConfig(
-            mode=self.mode,
-            norm_mode=self.norm_mode,
-            tol_fixed_point=self.tol_fixed_point,
-            tol_inner=self.tol_inner,
-            max_outer=self.max_outer,
-            max_newton=self.max_newton,
-            record_every=self.record_every,
-            sweep_order=self.sweep_order,
-            accel=self.accel,
-        )
 
 
 def load_config_file(path) -> dict:
@@ -154,11 +133,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number_array(entry) -> np.ndarray:
+    """``entry`` as a float array; ValueError unless it nests only numbers."""
+    try:
+        arr = np.asarray(entry)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError("must be a rectangular array of numbers")
+    return arr.astype(float)
+
+
 def _coerce_class_matrix(entry, n):
     """Accept a scalar (n=1), a nested row-major list, or reject."""
-    if n == 1 and isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return np.array([[float(entry)]])
-    arr = np.asarray(entry, dtype=float)
+    arr = _number_array(entry)
+    if n == 1 and arr.shape == ():
+        return arr.reshape(1, 1)
     if arr.shape == (n, n):
         return arr
     raise ValueError(f"expected a {n}x{n} row-major matrix, got shape {arr.shape}")
@@ -167,29 +157,36 @@ def _coerce_class_matrix(entry, n):
 def _load_field_entry(entry, grid, label, problems):
     """Resolve one field given as expr dict, file dict, or flat array."""
     if isinstance(entry, dict):
-        if set(entry) == {"expr"}:
-            try:
-                return eval_field_expr(entry["expr"], grid)
-            except ParseError as exc:
-                problems.append(f"{label}: {exc}")
-                return None
-        if set(entry) == {"file"}:
-            try:
-                fgrid, values = read_field(entry["file"])
-            except (OSError, ParseError) as exc:
-                problems.append(f"{label}: {exc}")
-                return None
-            if (fgrid.n, fgrid.N) != (grid.n, grid.N):
-                problems.append(
-                    f"{label}: field file grid n={fgrid.n} N={fgrid.N} does "
-                    f"not match config n={grid.n} N={grid.N}"
-                )
-                return None
-            return values
-        problems.append(f"{label}: dict form must be {{'expr': ...}} or {{'file': ...}}")
-        return None
+        if set(entry) not in ({"expr"}, {"file"}):
+            problems.append(
+                f"{label}: dict form must be {{'expr': ...}} or {{'file': ...}}"
+            )
+            return None
+        [(form, value)] = entry.items()
+        if not isinstance(value, str):
+            # open() would take an integer as a file descriptor
+            problems.append(f"{label}: {form} must be a string, got {value!r}")
+            return None
+        try:
+            if form == "expr":
+                return eval_field_expr(value, grid)
+            fgrid, values = read_field(value)
+        except (OSError, ParseError) as exc:
+            problems.append(f"{label}: {exc}")
+            return None
+        if (fgrid.n, fgrid.N) != (grid.n, grid.N):
+            problems.append(
+                f"{label}: field file grid n={fgrid.n} N={fgrid.N} does "
+                f"not match config n={grid.n} N={grid.N}"
+            )
+            return None
+        return values
     if isinstance(entry, list):
-        arr = np.asarray(entry, dtype=float)
+        try:
+            arr = _number_array(entry)
+        except ValueError as exc:
+            problems.append(f"{label}: {exc}")
+            return None
         if arr.ndim != 1 or arr.size != grid.num_points:
             problems.append(
                 f"{label}: flat array must have {grid.num_points} values, "
@@ -248,10 +245,9 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
                 except ValueError as exc:
                     problems.append(f"A_{i + 1}: {exc}")
                     continue
-                if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
-                    problems.append(f"A_{i + 1} is not symmetric")
-                elif np.linalg.eigvalsh(mat).min() <= 0.0:
-                    problems.append(f"A_{i + 1} is not positive definite")
+                problem = class_matrix_problem(mat)
+                if problem:
+                    problems.append(f"A_{i + 1} {problem}")
                 else:
                     a_mats[i] = mat
 
@@ -297,42 +293,12 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
                     else:
                         init_values[i] = loaded
 
-    mode = data.get("mode", "gauss_seidel")
-    if mode not in ("gauss_seidel", "jacobi"):
-        problems.append(f"mode must be gauss_seidel or jacobi, got {mode!r}")
-    norm_mode = data.get("norm_mode", "sup")
-    if norm_mode not in ("sup", "mean"):
-        problems.append(f"norm_mode must be sup or mean, got {norm_mode!r}")
-    sweep_order = data.get("sweep_order", "forward")
-    if sweep_order not in ("forward", "reverse"):
-        problems.append(f"sweep_order must be forward or reverse, got {sweep_order!r}")
-    accel = data.get("accel", "anderson")
-    if accel not in ("anderson", "none"):
-        problems.append(f"accel must be anderson or none, got {accel!r}")
-
-    def positive_float(key, default):
-        value = data.get(key, default)
-        if not (_is_int(value) or isinstance(value, float)) or not (
-            0 < value <= sys.float_info.max  # false for inf and nan
-        ):
-            problems.append(
-                f"{key} must be a positive finite number, got {value!r}"
-            )
-            return default
-        return float(value)
-
-    def positive_int(key, default):
-        value = data.get(key, default)
-        if not _is_int(value) or value < 1:
-            problems.append(f"{key} must be a positive integer, got {value!r}")
-            return default
-        return value
-
-    tol_fp = positive_float("tol_fixed_point", 1e-8)
-    tol_inner = positive_float("tol_inner", 1e-10)
-    max_outer = positive_int("max_outer", 200)
-    max_newton = positive_int("max_newton", 40)
-    record_every = positive_int("record_every", 1)
+    try:
+        iteration = IterationConfig(
+            **{key: data[key] for key in _SETTINGS if key in data}
+        )
+    except ValidationError as exc:
+        problems.extend(exc.violations)
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):
@@ -352,14 +318,6 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
         f=f_values,
         f_spec=f_spec,
         init=init_values,
-        mode=mode,
-        norm_mode=norm_mode,
-        sweep_order=sweep_order,
-        tol_fixed_point=tol_fp,
-        tol_inner=tol_inner,
-        max_outer=max_outer,
-        max_newton=max_newton,
-        record_every=record_every,
-        accel=accel,
+        iteration=iteration,
         out=out,
     )

@@ -15,11 +15,12 @@ class ParseError(CoupledRicciError):
     """Raised for malformed field files, configs, or density expressions."""
 
 
-class ValidationError(CoupledRicciError):
+class ValidationError(CoupledRicciError, ValueError):
     """Raised when configuration data is well-formed but invalid.
 
     Carries the full list of violations so callers can report every
-    problem at once instead of stopping at the first one.
+    problem at once instead of stopping at the first one.  It is a
+    ValueError too, so callers that catch the builtin still see it.
     """
 
     def __init__(self, violations):

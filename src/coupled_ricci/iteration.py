@@ -17,6 +17,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     NoConvergence,
     NonAdmissible,
     NonAdmissibleStep,
+    ValidationError,
 )
 from .functionals import EnergyLedger, cke_residual, ding
 from .monge_ampere import BackgroundGeometry, is_admissible, solve_tke
@@ -40,8 +42,29 @@ _INNER_ERRORS = (NoConvergence, NonAdmissibleStep, ContinuityBreakdown, NonAdmis
 ANDERSON_DEPTH = 3
 
 
+# The allowed values of each string setting of IterationConfig.
+_CHOICES = {
+    "mode": ("gauss_seidel", "jacobi"),
+    "norm_mode": ("sup", "mean"),
+    "sweep_order": ("forward", "reverse"),
+    "accel": ("anderson", "none"),
+}
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real; booleans are not."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass
 class IterationConfig:
+    """The outer-iteration settings, declared and validated only here.
+
+    Tolerances must be positive finite reals and are stored as float;
+    budgets must be integers >= 1; booleans are neither.  Every violation
+    is collected into one ValidationError.
+    """
+
     mode: str = "gauss_seidel"
     norm_mode: str = "sup"
     tol_fixed_point: float = 1e-8
@@ -53,23 +76,33 @@ class IterationConfig:
     accel: str = "anderson"
 
     def __post_init__(self):
-        if self.mode not in ("gauss_seidel", "jacobi"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.accel not in ("anderson", "none"):
-            raise ValueError(f"unknown accel {self.accel!r}")
-        if self.norm_mode not in ("sup", "mean"):
-            raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
-        if self.sweep_order not in ("forward", "reverse"):
-            raise ValueError(f"unknown sweep_order {self.sweep_order!r}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        if not all(0.0 < tol < math.inf
-                   for tol in (self.tol_fixed_point, self.tol_inner)):
-            raise ValueError("tolerances must be positive and finite")
+        problems = []
+        for key, allowed in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                problems.append(
+                    f"{key} must be {' or '.join(allowed)}, got {value!r}"
+                )
+        for key in ("tol_fixed_point", "tol_inner"):
+            value = getattr(self, key)
+            try:
+                tol = float(value) if _is_real(value) else math.nan
+            except OverflowError:  # an integer beyond the float range
+                tol = math.inf
+            if 0 < tol < math.inf:
+                setattr(self, key, tol)
+            else:
+                problems.append(
+                    f"{key} must be a positive finite number, got {value!r}"
+                )
+        for key in ("max_outer", "max_newton", "record_every"):
+            value = getattr(self, key)
+            if isinstance(value, Integral) and _is_real(value) and value >= 1:
+                setattr(self, key, int(value))
+            else:
+                problems.append(f"{key} must be a positive integer, got {value!r}")
+        if problems:
+            raise ValidationError(problems)
 
 
 @dataclass

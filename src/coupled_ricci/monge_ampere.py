@@ -48,6 +48,17 @@ _KRYLOV_MAXITER = 10
 # background data
 
 
+def class_matrix_problem(mat) -> str | None:
+    """Why ``mat`` is no finite symmetric positive-definite matrix, or None."""
+    if not np.all(np.isfinite(mat)):
+        return "has non-finite entries"
+    if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
+        return "is not symmetric"
+    if np.linalg.eigvalsh(mat).min() <= 0.0:
+        return "is not positive definite"
+    return None
+
+
 @dataclass(frozen=True)
 class BackgroundGeometry:
     """Problem data: grid, sign lam, class matrices A_i, and density f.
@@ -76,10 +87,9 @@ class BackgroundGeometry:
             problems.append("at least one class matrix is required")
         else:
             for i, mat in enumerate(self.A):
-                if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
-                    problems.append(f"A_{i + 1} is not symmetric")
-                elif np.linalg.eigvalsh(mat).min() <= 0.0:
-                    problems.append(f"A_{i + 1} is not positive definite")
+                problem = class_matrix_problem(mat)
+                if problem:
+                    problems.append(f"A_{i + 1} {problem}")
         if self.f.shape != self.grid.shape:
             problems.append(
                 f"f has shape {self.f.shape}, expected {self.grid.shape}"
@@ -186,7 +196,6 @@ class SolveReport:
     ``residual_history`` holds the last rung only.
     """
 
-    outcome: str = "converged"
     newton_iterations: int = 0
     damping_factors: list = field(default_factory=list)
     residual: float = float("nan")

@@ -34,7 +34,7 @@ from coupled_ricci.scenarios import get_preset
 
 def preset_problem(name):
     cfg = build_run_config(get_preset(name))
-    return cfg.geometry(), cfg.iteration_config()
+    return cfg.geometry(), cfg.iteration
 
 
 def sup_norm(psis):

@@ -153,7 +153,16 @@ def test_stiff_preset_needs_the_outer_acceleration(tmp_path):
 def test_oracle_config_keeps_the_accel_key():
     cfg = get_preset("neg-k2-sine")
     cfg["accel"] = "none"
-    assert _downsample_config(build_run_config(cfg)).accel == "none"
+    assert _downsample_config(build_run_config(cfg)).iteration.accel == "none"
+
+
+def test_oracle_config_keeps_every_iteration_setting():
+    cfg = get_preset("neg-k2-sine")
+    cfg.update(sweep_order="reverse", max_newton=3, record_every=5)
+    fine = build_run_config(cfg)
+    coarse = _downsample_config(fine)
+    assert coarse.N == 8
+    assert coarse.iteration == fine.iteration
 
 
 def test_run_accepts_json_config_path(tmp_path):
@@ -310,6 +319,58 @@ def test_build_run_config_rejects_non_finite_tolerances():
     assert excinfo.value.violations == [
         "tol_fixed_point must be a positive finite number, got inf",
         "tol_inner must be a positive finite number, got nan",
+    ]
+
+
+@pytest.mark.parametrize("A, bad", [("[1e999, 1.0]", 1), ("[1.0, -1e999]", 2)])
+def test_run_rejects_non_finite_class_matrix(tmp_path, capsys, A, bad):
+    cfg = get_preset("neg-k2-sine")
+    cfg["A"] = "A_ENTRIES"
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(cfg).replace('"A_ENTRIES"', A))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration invalid" in err
+    assert f"A_{bad} has non-finite entries" in err
+    assert not out.exists()
+
+
+def test_build_run_config_rejects_non_finite_2d_class_matrix():
+    cfg = get_preset("neg-k2-2d")
+    cfg["A"] = json.loads("[[[1e999, 0], [0, 1]], [[1, 0], [0, 1]]]")
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == ["A_1 has non-finite entries"]
+
+
+_NOT_NUMBERS = "must be a rectangular array of numbers"
+_N = get_preset("neg-k2-sine")["N"]
+_MALFORMED = {
+    "f-string-entry": ("f", ["a"] + [1.0] * (_N - 1), f"f: {_NOT_NUMBERS}"),
+    "f-dict-entry": ("f", [{}] + [1.0] * (_N - 1), f"f: {_NOT_NUMBERS}"),
+    "f-ragged": ("f", [[1.0, 2.0], [1.0]], f"f: {_NOT_NUMBERS}"),
+    "f-expr-number": ("f", {"expr": 5}, "f: expr must be a string, got 5"),
+    # open() would read standard input for the file descriptor 0
+    "f-file-descriptor": ("f", {"file": 0}, "f: file must be a string, got 0"),
+    "init-string-entry": (
+        "init", [["a"] + [0.0] * (_N - 1), [0.0] * _N], f"init_1: {_NOT_NUMBERS}"
+    ),
+    "A-dict-entry": ("A", [{"a": 1}, 1.0], f"A_1: {_NOT_NUMBERS}"),
+    "A-bool-entry": ("A", [True, 1.0], f"A_1: {_NOT_NUMBERS}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_entries_are_collected(case):
+    key, value, message = _MALFORMED[case]
+    cfg = get_preset("neg-k2-sine")
+    cfg[key] = value
+    cfg["mode"] = "sor"
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == [
+        message, "mode must be gauss_seidel or jacobi, got 'sor'",
     ]
 
 

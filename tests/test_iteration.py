@@ -15,6 +15,7 @@ from coupled_ricci import (
     step_gauss_seidel,
 )
 from coupled_ricci.config import build_run_config
+from coupled_ricci.errors import ValidationError
 from coupled_ricci.iteration import (
     ANDERSON_DEPTH,
     IterationState,
@@ -54,11 +55,37 @@ def sine_geom(N=32, k=2, lam=-1, amp=0.5, a=1.0):
         {"tol_inner": float("nan")},
         {"tol_fixed_point": float("inf")},
         {"tol_fixed_point": float("nan")},
+        {"max_outer": 2.5},
+        {"max_outer": True},
+        {"record_every": 1.5},
+        {"max_newton": 2.5},
+        {"tol_inner": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         IterationConfig(**kwargs)
+
+
+def test_config_reports_every_violation_at_once():
+    with pytest.raises(ValidationError) as excinfo:
+        IterationConfig(mode="sor", accel="fast")
+    assert excinfo.value.violations == [
+        "mode must be gauss_seidel or jacobi, got 'sor'",
+        "accel must be anderson or none, got 'fast'",
+    ]
+
+
+def test_config_accepts_numpy_scalars():
+    config = IterationConfig(
+        max_outer=np.int64(5), tol_inner=np.float64(1e-9),
+        tol_fixed_point=np.float32(0.5), record_every=np.uint8(2),
+    )
+    assert config == IterationConfig(
+        max_outer=5, tol_inner=1e-9, tol_fixed_point=0.5, record_every=2
+    )
+    assert type(config.max_outer) is int
+    assert type(config.tol_inner) is float
 
 
 def test_run_rejects_bad_init_shape():
@@ -113,7 +140,7 @@ def test_two_dim_problem_at_n256_converges():
         "cri_config": 1, "lambda": -1, "n": 2, "N": 256, "k": 2, "A": A,
         "f": "1 + 0.3*sin(2*pi*x_1)*cos(2*pi*x_2)",
     })
-    state = run(cfg.geometry(), cfg.iteration_config())
+    state = run(cfg.geometry(), cfg.iteration)
     assert state.converged
     assert state.step == 3
     assert state.monotone_report.ok
@@ -305,7 +332,7 @@ def test_repeat_runs_are_bit_identical():
 
 def test_inner_failure_is_reported_with_slice_index():
     preset = build_run_config(get_preset("pos-k2-steep"))
-    state = run(preset.geometry(), preset.iteration_config())
+    state = run(preset.geometry(), preset.iteration)
     assert not state.converged
     assert state.reason.startswith("inner_failure: ContinuityBreakdown")
     assert state.error is not None

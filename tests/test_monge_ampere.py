@@ -52,6 +52,20 @@ def test_geometry_collects_all_violations():
     assert "positive" in text
 
 
+@pytest.mark.parametrize("n, A", [
+    (1, [[[np.inf]]]),
+    (1, [[[np.nan]]]),
+    (1, [[[1.0]], [[-np.inf]]]),
+    (2, [[[np.inf, 0.0], [0.0, 1.0]]]),
+])
+def test_geometry_rejects_non_finite_class_matrices(n, A):
+    grid = PeriodicGrid(n, 4)
+    with pytest.raises(ValidationError) as err:
+        BackgroundGeometry(grid=grid, lam=-1, A=A, f=np.ones(grid.shape))
+    # the last class is the bad one
+    assert err.value.violations == [f"A_{len(A)} has non-finite entries"]
+
+
 def test_geometry_volume_is_background_determinant():
     geom = make_geom(n=1, a=2.5, k=2)
     np.testing.assert_allclose(geom.volumes, [2.5, 2.5])
