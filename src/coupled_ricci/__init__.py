@@ -32,13 +32,11 @@ from .iteration import (
 from .monge_ampere import (
     BackgroundGeometry,
     SolveReport,
-    admissibility_margin,
     continuity_solve,
     is_admissible,
     log_ma_linearization,
     ma_density,
     newton_step,
-    solve_calabi_yau,
     solve_tke,
 )
 from .oracle import (
@@ -61,7 +59,6 @@ __all__ = [
     "RunConfig",
     "SolveReport",
     "StackedSystem",
-    "admissibility_margin",
     "am_energy",
     "build_run_config",
     "check_monotone",
@@ -87,7 +84,6 @@ __all__ = [
     "read_field",
     "ricci_potentials",
     "run",
-    "solve_calabi_yau",
     "solve_tke",
     "step_gauss_seidel",
     "write_field",

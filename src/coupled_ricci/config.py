@@ -133,13 +133,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _has_bool(entry) -> bool:
+    """Whether a JSON true/false sits at any depth of ``entry``."""
+    if isinstance(entry, (list, tuple)):
+        return any(_has_bool(item) for item in entry)
+    return isinstance(entry, (bool, np.bool_))
+
+
 def _number_array(entry) -> np.ndarray:
-    """``entry`` as a float array; ValueError unless it nests only numbers."""
+    """``entry`` as a float array; ValueError unless it nests only numbers.
+
+    numpy would read a boolean mixed with numbers as 0.0 or 1.0.
+    """
     try:
         arr = np.asarray(entry)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if arr is None or arr.dtype.kind not in "iuf" or _has_bool(entry):
         raise ValueError("must be a rectangular array of numbers")
     return arr.astype(float)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonAdmissible
 from .grid import PeriodicGrid, hessian
-from .monge_ampere import (
+from .monge_ampere import (  # noqa: F401  perfbench/tracer.py wraps is_admissible here
     BackgroundGeometry,
     _cone_density,
     is_admissible,
@@ -31,10 +31,6 @@ def _admissible_density(grid, A, hess, what):
     return dens
 
 
-def _hessians(grid, psis) -> list:
-    return [hessian(grid, psi) for psi in psis]
-
-
 def _mixed_with_background(A, hess):
     """Mixed discriminant D(H, A) of the centered Hessian with A (n=2)."""
     q = hess.mixed_centered
@@ -43,46 +39,46 @@ def _mixed_with_background(A, hess):
     )
 
 
-def am_energy(grid: PeriodicGrid, A, psi, hess=None) -> float:
-    """Aubin-Mabuchi energy of one admissible potential.
+def _class_terms(grid, A, psi, hess, what):
+    """(density, AM, I, J) of one class from one Hessian, built if None.
 
-    The integrand is psi times the average of the mixed discriminants
-    D(M^j, A^(n-j)) for j = 0..n, with M = A + D^2 psi.
+    The density is cone-checked: outside the cone NonAdmissible names
+    ``what``.
     """
     A = np.asarray(A, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if hess is None:
         hess = hessian(grid, psi)
-    dens = _admissible_density(grid, A, hess, "am_energy")
+    dens = _admissible_density(grid, A, hess, what)
     det_a = float(np.linalg.det(A))
     if grid.n == 1:
         integrand = 0.5 * psi * (det_a + dens)
     else:
         middle = det_a + _mixed_with_background(A, hess)
         integrand = psi * (det_a + middle + dens) / 3.0
-    return grid.integrate(integrand)
+    am = grid.integrate(integrand)
+    i_val = grid.integrate(psi * (det_a - dens)) / det_a
+    j_val = grid.integrate(psi) - am / det_a
+    return dens, am, i_val, j_val
+
+
+def am_energy(grid: PeriodicGrid, A, psi, hess=None) -> float:
+    """Aubin-Mabuchi energy of one admissible potential.
+
+    The integrand is psi times the average of the mixed discriminants
+    D(M^j, A^(n-j)) for j = 0..n, with M = A + D^2 psi.
+    """
+    return _class_terms(grid, A, psi, hess, "am_energy")[1]
 
 
 def i_functional(grid: PeriodicGrid, A, psi, hess=None) -> float:
     """Aubin I functional: (1/V) integral of psi (det A - ma_density)."""
-    A = np.asarray(A, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if hess is None:
-        hess = hessian(grid, psi)
-    dens = _admissible_density(grid, A, hess, "i_functional")
-    det_a = float(np.linalg.det(A))
-    return grid.integrate(psi * (det_a - dens)) / det_a
+    return _class_terms(grid, A, psi, hess, "i_functional")[2]
 
 
 def j_functional(grid: PeriodicGrid, A, psi, hess=None) -> float:
     """Aubin J functional: (1/V) integral of psi det A minus AM/V."""
-    A = np.asarray(A, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if hess is None:
-        hess = hessian(grid, psi)
-    det_a = float(np.linalg.det(A))
-    am = am_energy(grid, A, psi, hess=hess)
-    return grid.integrate(psi) - am / det_a
+    return _class_terms(grid, A, psi, hess, "j_functional")[3]
 
 
 def l_functional(geom: BackgroundGeometry, psis) -> float:
@@ -103,27 +99,27 @@ def ding(geom: BackgroundGeometry, psis) -> float:
     return total + l_functional(geom, psis)
 
 
-def ricci_potentials(geom: BackgroundGeometry, psis) -> np.ndarray:
+def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarray:
     """Log-ratio fields rho_i measuring the distance to the fixed point.
 
     rho_i = log( V_i * exp(-lam * sum psi) * f / (Z * ma_density_i) )
     with Z the integral of exp(-lam * sum psi) * f.  By construction
-    integrate(exp(rho_i) * ma_density_i) = V_i exactly.
+    integrate(exp(rho_i) * ma_density_i) = V_i exactly.  ``densities``
+    may pass the cone-checked class densities of ``psis``.
     """
     psis = np.asarray(psis, dtype=float)
-    return _ricci_potentials(geom, psis, _hessians(geom.grid, psis))
-
-
-def _ricci_potentials(geom, psis, hessians) -> np.ndarray:
     grid = geom.grid
-    total = psis.sum(axis=0)
-    weight = np.exp(-geom.lam * total) * geom.f
+    if densities is None:
+        densities = [
+            _admissible_density(grid, A, hessian(grid, psi), "ricci_potentials")
+            for A, psi in zip(geom.A, psis)
+        ]
+    weight = np.exp(-geom.lam * psis.sum(axis=0)) * geom.f
     log_weight = np.log(weight)
     z = grid.integrate(weight)
     vols = geom.volumes
     rhos = np.empty_like(psis)
-    for i, hess in enumerate(hessians):
-        dens = _admissible_density(grid, geom.A[i], hess, "ricci_potentials")
+    for i, dens in enumerate(densities):
         rhos[i] = np.log(vols[i]) + log_weight - np.log(z) - np.log(dens)
     return rhos
 
@@ -154,9 +150,10 @@ def ding_first_variation(geom: BackgroundGeometry, psis, deltas) -> float:
 
 
 def _equivalence_ratio(grid, A, hess) -> float:
-    """Spread of the generalized eigenvalues of (A + D^2 psi, A)."""
-    if not is_admissible(grid, A, hess=hess):
-        raise NonAdmissible("diagnostics needs an admissible potential")
+    """Spread of the generalized eigenvalues of (A + D^2 psi, A).
+
+    ``hess`` must be the Hessian of an admissible potential.
+    """
     if grid.n == 1:
         vals = (A[0, 0] + hess.diag[0]) / A[0, 0]
         return float(vals.max() / vals.min())
@@ -174,17 +171,11 @@ def _equivalence_ratio(grid, A, hess) -> float:
 
 def diagnostics(geom: BackgroundGeometry, psis) -> dict:
     """Per-class oscillation and metric-equivalence ratios."""
-    psis = np.asarray(psis, dtype=float)
-    return _diagnostics(geom, psis, _hessians(geom.grid, psis))
-
-
-def _diagnostics(geom, psis, hessians) -> dict:
-    osc = np.array([float(p.max() - p.min()) for p in psis])
-    ratios = np.array(
-        [_equivalence_ratio(geom.grid, geom.A[i], hess)
-         for i, hess in enumerate(hessians)]
-    )
-    return {"osc": osc, "eq_ratio": ratios}
+    terms = EnergyLedger(geom.k).evaluate(geom, psis)
+    return {
+        key: np.array([terms[f"{column}_{i + 1}"] for i in range(geom.k)])
+        for key, column in (("osc", "osc"), ("eq_ratio", "eqratio"))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +200,42 @@ class EnergyLedger:
         )
         self.rows: list = []
 
-    def record_state(self, geom, psis, step, inner_iters, wall_ms) -> dict:
-        """Evaluate every column at the given tuple and append a row."""
+    def evaluate(self, geom, psis) -> dict:
+        """Every column but step, inner_iters and wall_ms at one tuple.
+
+        Builds one Hessian and one cone-checked density per class; raises
+        NonAdmissible outside the cone.
+        """
         psis = np.asarray(psis, dtype=float)
         grid = geom.grid
-        vols = geom.volumes
-        hessians = _hessians(grid, psis)
-        am = np.empty(geom.k)
-        ivals = np.empty(geom.k)
-        jvals = np.empty(geom.k)
-        for i, hess in enumerate(hessians):
-            am[i] = am_energy(grid, geom.A[i], psis[i], hess=hess)
-            ivals[i] = i_functional(grid, geom.A[i], psis[i], hess=hess)
-            jvals[i] = j_functional(grid, geom.A[i], psis[i], hess=hess)
+        dens = [None] * geom.k
+        am, ivals, jvals, osc, eq_ratio = np.empty((5, geom.k))
+        for i, (A, psi) in enumerate(zip(geom.A, psis)):
+            hess = hessian(grid, psi)
+            dens[i], am[i], ivals[i], jvals[i] = _class_terms(
+                grid, A, psi, hess, "the ledger"
+            )
+            osc[i] = psi.max() - psi.min()
+            eq_ratio[i] = _equivalence_ratio(grid, A, hess)
         lval = l_functional(geom, psis)
-        dval = lval - float((am / vols).sum())
-        rhos = _ricci_potentials(geom, psis, hessians)
+        dval = lval - float((am / geom.volumes).sum())
+        rhos = ricci_potentials(geom, psis, densities=dens)
         rho_max = np.abs(rhos).reshape(geom.k, -1).max(axis=1)
-        diag = _diagnostics(geom, psis, hessians)
         values = [
-            int(step), *am, *ivals, *jvals, lval, dval, float(jvals.sum()),
-            *rho_max, *diag["osc"], *diag["eq_ratio"],
-            int(inner_iters), float(wall_ms),
+            *am, *ivals, *jvals, lval, dval, float(jvals.sum()),
+            *rho_max, *osc, *eq_ratio,
         ]
-        row = dict(zip(self.columns, values, strict=True))
+        return dict(zip(self.columns[1:-2], values, strict=True))
+
+    def record_state(self, geom, psis, step, inner_iters, wall_ms,
+                     terms=None) -> dict:
+        """Append the row of a tuple; ``terms`` may pass its evaluate()."""
+        if terms is None:
+            terms = self.evaluate(geom, psis)
+        row = {
+            "step": int(step), **terms,
+            "inner_iters": int(inner_iters), "wall_ms": float(wall_ms),
+        }
         self.rows.append(row)
         return row
 

@@ -29,7 +29,7 @@ from .errors import (
     NonAdmissibleStep,
     ValidationError,
 )
-from .functionals import EnergyLedger, cke_residual, ding
+from .functionals import EnergyLedger, cke_residual
 from .monge_ampere import BackgroundGeometry, is_admissible, solve_tke
 
 logger = logging.getLogger(__name__)
@@ -135,9 +135,9 @@ def _class_order(k: int, sweep_order: str):
     return indices
 
 
-def _row_residual(row) -> float:
-    """cke_residual of the tuple a ledger row was recorded at."""
-    return max(v for name, v in row.items() if name.startswith("rho_max_"))
+def _row_residual(terms) -> float:
+    """cke_residual of the tuple whose ledger terms or row are ``terms``."""
+    return max(v for name, v in terms.items() if name.startswith("rho_max_"))
 
 
 def step_gauss_seidel(geom, psis, config: IterationConfig):
@@ -236,10 +236,10 @@ def _to_gauge(psis, norm_mode: str) -> None:
         psis -= psis.mean(axis=axes, keepdims=True)
 
 
-def _accelerate(state, history, x, gx):
-    """The tuple an outer step takes from x: the extrapolated candidate
-    if every class of it is admissible and D(candidate) <= D(gx), else
-    the sweep output gx itself.
+def _accelerate(state, history, x, gx, gx_terms):
+    """The tuple an outer step takes from x, and its ledger terms: the
+    extrapolated candidate if every class of it is admissible and its D
+    is no higher than ``gx_terms["D"]``, else the sweep output gx.
 
     A refused candidate restarts the history from the newest pair.  The
     candidate is local here, so a refused one is freed before the next
@@ -248,19 +248,18 @@ def _accelerate(state, history, x, gx):
     history.push(x, gx)
     ext = history.extrapolate()
     if ext is None:
-        return gx
+        return gx, gx_terms
     _to_gauge(ext, state.config.norm_mode)
     try:
-        # ding raises NonAdmissible outside the cone; gx is admissible
-        descends = ding(state.geom, ext) <= ding(state.geom, gx)
+        ext_terms = state.ledger.evaluate(state.geom, ext)
     except NonAdmissible:
-        descends = False
-    if descends:
+        ext_terms = None
+    if ext_terms is not None and ext_terms["D"] <= gx_terms["D"]:
         state.extrapolations_accepted += 1
-        return ext
+        return ext, ext_terms
     state.extrapolations_rejected += 1
     history.restart()
-    return gx
+    return gx, gx_terms
 
 
 def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
@@ -271,7 +270,9 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     slices are accepted: they still drive the coupling sums, but the
     first inner solve of such a slice starts from zero instead of the
     warm start, and no step-0 ledger row is written because the
-    energies are undefined outside the cone.
+    energies are undefined outside the cone.  Each tuple is evaluated
+    once, by ``EnergyLedger.evaluate``, for the Anderson safeguard, the
+    stopping test and the ledger row; ``record_every`` only thins the rows.
     """
     if config is None:
         config = IterationConfig()
@@ -293,17 +294,12 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     )
 
     t_start = time.perf_counter()
+    terms = None
     if all(admissible):
-        row = state.ledger.record_state(
-            geom, psis, step=0, inner_iters=0, wall_ms=0.0
+        terms = state.ledger.evaluate(geom, psis)
+        state.ledger.record_state(
+            geom, psis, step=0, inner_iters=0, wall_ms=0.0, terms=terms
         )
-        if _row_residual(row) <= config.tol_fixed_point:
-            state.converged = True
-            state.reason = "converged"
-            state.wall_ms = (time.perf_counter() - t_start) * 1e3
-            if config.mode == "gauss_seidel":
-                state.monotone_report = check_monotone(state.ledger)
-            return state
     else:
         bad = [i + 1 for i, ok in enumerate(admissible) if not ok]
         logger.warning(
@@ -314,40 +310,34 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         )
 
     history = _Anderson() if config.accel == "anderson" else None
-    for step in range(1, config.max_outer + 1):
+    while terms is None or _row_residual(terms) > config.tol_fixed_point:
+        if state.step == config.max_outer:
+            state.reason = "max_outer"
+            break
+        step = state.step + 1
         t_step = time.perf_counter()
         try:
             swept, inner_iters = step_gauss_seidel(geom, psis, config)
         except _INNER_ERRORS as exc:
-            state.converged = False
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"
             state.error = exc
             state.step = step
-            state.psis = psis
             break
+        terms = state.ledger.evaluate(geom, swept)
         if history is not None:
-            swept = _accelerate(state, history, psis, swept)
-        psis = swept
-        wall = (time.perf_counter() - t_step) * 1e3
-        state.psis = psis
+            swept, terms = _accelerate(state, history, psis, swept, terms)
+        psis = state.psis = swept
         state.step = step
-        if step % config.record_every == 0 or step == config.max_outer:
-            row = state.ledger.record_state(
-                geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall
+        if (step % config.record_every == 0 or step == config.max_outer
+                or _row_residual(terms) <= config.tol_fixed_point):
+            wall = (time.perf_counter() - t_step) * 1e3
+            state.ledger.record_state(
+                geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall,
+                terms=terms,
             )
-            done = _row_residual(row) <= config.tol_fixed_point
-        else:
-            done = cke_residual(geom, psis) <= config.tol_fixed_point
-            if done:
-                state.ledger.record_state(
-                    geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall
-                )
-        if done:
-            state.converged = True
-            state.reason = "converged"
-            break
     else:
-        state.reason = "max_outer"
+        state.converged = True
+        state.reason = "converged"
 
     state.wall_ms = (time.perf_counter() - t_start) * 1e3
     if config.mode == "gauss_seidel" and state.ledger.rows:

@@ -144,25 +144,6 @@ def ma_density(grid, A, psi=None, hess=None) -> np.ndarray:
     return sum(dets) / len(dets)
 
 
-def admissibility_margin(grid, A, psi=None, hess=None) -> float:
-    """Smallest eigenvalue of any variant matrix A + H over the grid."""
-    A = np.asarray(A, dtype=float)
-    if hess is None:
-        hess = hessian(grid, psi)
-    if grid.n == 1:
-        return float((A[0, 0] + hess.diag[0]).min())
-    m00 = A[0, 0] + hess.diag[0]
-    m11 = A[1, 1] + hess.diag[1]
-    margin = np.inf
-    for q in (hess.mixed_plus, hess.mixed_minus):
-        off = A[0, 1] + q
-        tr = m00 + m11
-        det = m00 * m11 - off * off
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        margin = min(margin, float((0.5 * (tr - disc)).min()))
-    return margin
-
-
 def _cone_density(grid, A, hess: HessianField):
     """ma_density from one determinant evaluation, or None outside the cone.
 
@@ -686,31 +667,3 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         dt = min(dt * 2.0, 0.25)
     return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
-
-def solve_calabi_yau(grid, A, rho, *, tol_inner=1e-10, max_newton=40):
-    """Solve ma_density(A, psi) = c * rho with mean(psi) = 0.
-
-    ``rho`` must be strictly positive; c comes out as the volume ratio
-    integrate(ma_density) / integrate(rho).  Returns
-    (psi, c, SolveReport).
-    """
-    A = np.asarray(A, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != grid.shape:
-        raise ValueError("target density has wrong shape")
-    if rho.min() <= 0.0 or not np.all(np.isfinite(rho)):
-        raise ValueError("target density must be positive and finite")
-    phi, _, report = _damped_newton(
-        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape),
-        max_newton, t=0.0,
-    )
-    dens = ma_density(grid, A, phi)
-    c = grid.integrate(dens) / grid.integrate(rho)
-    residual = float(np.abs(np.log(dens) - np.log(c) - np.log(rho)).max())
-    if residual > tol_inner:
-        raise NoConvergence(
-            f"volume-form residual {residual:.3e} above tol {tol_inner:.3e}"
-        )
-    report.residual = residual
-    report.c = c
-    return phi, c, report

@@ -15,7 +15,6 @@ from coupled_ricci import (
     BackgroundGeometry,
     IterationConfig,
     PeriodicGrid,
-    admissibility_margin,
     cke_residual,
     ding,
     ding_first_variation,
@@ -30,6 +29,8 @@ from coupled_ricci.cli import main
 from coupled_ricci.config import build_run_config
 from coupled_ricci.oracle import oracle_ding_descent, oracle_fixed_point
 from coupled_ricci.scenarios import get_preset
+
+from cone_margin import admissibility_margin
 
 
 def preset_problem(name):

@@ -358,6 +358,11 @@ _MALFORMED = {
     ),
     "A-dict-entry": ("A", [{"a": 1}, 1.0], f"A_1: {_NOT_NUMBERS}"),
     "A-bool-entry": ("A", [True, 1.0], f"A_1: {_NOT_NUMBERS}"),
+    # numpy reads a boolean mixed with numbers as 0.0 or 1.0
+    "f-bool-among-numbers": ("f", [True] + [1.0] * (_N - 1), f"f: {_NOT_NUMBERS}"),
+    "init-bool-among-numbers": (
+        "init", [[0.0] * _N, [0.0] * (_N - 1) + [False]], f"init_2: {_NOT_NUMBERS}"
+    ),
 }
 
 
@@ -372,6 +377,15 @@ def test_malformed_entries_are_collected(case):
     assert excinfo.value.violations == [
         message, "mode must be gauss_seidel or jacobi, got 'sor'",
     ]
+
+
+def test_boolean_in_a_two_dim_class_matrix_is_rejected():
+    # [[1, 0], [0, true]] would otherwise be read as the identity
+    cfg = get_preset("neg-k2-2d")
+    cfg["A"][0] = [[1.0, 0.0], [0.0, True]]
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == [f"A_1: {_NOT_NUMBERS}"]
 
 
 def test_field_entry_forms(tmp_path):

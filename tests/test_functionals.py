@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from coupled_ricci import functionals
 from coupled_ricci import (
     BackgroundGeometry,
     EnergyLedger,
     PeriodicGrid,
-    admissibility_margin,
     am_energy,
     cke_residual,
     diagnostics,
     ding,
     ding_first_variation,
+    hessian,
     i_functional,
     j_functional,
     l_functional,
@@ -19,6 +20,8 @@ from coupled_ricci import (
     run,
 )
 from coupled_ricci.errors import NonAdmissible
+
+from cone_margin import admissibility_margin
 
 
 def random_admissible(grid, A, rng, margin=0.2):
@@ -252,6 +255,37 @@ def test_ledger_column_order():
         "rho_max_1", "rho_max_2", "osc_1", "osc_2",
         "eqratio_1", "eqratio_2", "inner_iters", "wall_ms",
     ]
+
+
+def test_ledger_evaluate_matches_the_single_functionals(monkeypatch):
+    rng = np.random.default_rng(35)
+    grid = PeriodicGrid(2, 8)
+    A = np.array([[[1.5, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 2.0]]])
+    f = 1 + 0.3 * np.sin(2 * np.pi * grid.coords()[0])
+    geom = BackgroundGeometry(grid=grid, lam=-1, A=A, f=f)
+    psis = np.stack([random_admissible(grid, mat, rng) for mat in A])
+    built = []
+    monkeypatch.setattr(
+        functionals, "hessian",
+        lambda g, psi: built.append(1) or hessian(g, psi),
+    )
+    terms = EnergyLedger(2).evaluate(geom, psis)
+    assert len(built) == 2
+    monkeypatch.undo()
+    rhos = ricci_potentials(geom, psis)
+    out = diagnostics(geom, psis)
+    for i in range(2):
+        assert terms[f"AM_{i + 1}"] == am_energy(grid, A[i], psis[i])
+        assert terms[f"I_{i + 1}"] == i_functional(grid, A[i], psis[i])
+        assert terms[f"J_{i + 1}"] == j_functional(grid, A[i], psis[i])
+        assert terms[f"rho_max_{i + 1}"] == np.abs(rhos[i]).max()
+        assert terms[f"osc_{i + 1}"] == out["osc"][i]
+        assert terms[f"eqratio_{i + 1}"] == out["eq_ratio"][i]
+    assert terms["L"] == l_functional(geom, psis)
+    assert terms["D"] == pytest.approx(ding(geom, psis), rel=1e-14, abs=0.0)
+    psis[1] = 0.5 * np.cos(2 * np.pi * grid.coords()[1])
+    with pytest.raises(NonAdmissible):
+        EnergyLedger(2).evaluate(geom, psis)
 
 
 def test_ledger_records_and_round_trips(tmp_path):

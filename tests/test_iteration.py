@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupled_ricci import functionals
 from coupled_ricci import (
     BackgroundGeometry,
     EnergyLedger,
     IterationConfig,
     PeriodicGrid,
     check_monotone,
+    hessian,
     run,
     step_gauss_seidel,
 )
@@ -204,13 +206,36 @@ def test_jacobi_and_gauss_seidel_share_the_limit():
 
 
 def test_record_every_thins_the_ledger():
-    geom = sine_geom()
+    geom = sine_geom(N=64, a=1000.0)
+    geom.A[1] = 1300.0
     state = run(geom, IterationConfig(record_every=2))
     steps = list(state.ledger.column("step"))
     assert steps[0] == 0
     assert steps[-1] == state.step
     interior = steps[1:-1]
     assert all(s % 2 == 0 for s in interior)
+    # record_every only thins the rows: the run itself is unchanged
+    full = run(geom)
+    assert state.step == full.step
+    assert np.array_equal(state.psis, full.psis)
+    rows = {row["step"]: row for row in full.ledger.rows}
+    for row in state.ledger.rows:
+        assert {**row, "wall_ms": 0.0} == {**rows[row["step"]], "wall_ms": 0.0}
+
+
+def test_run_builds_one_hessian_per_class_and_evaluated_tuple(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        functionals, "hessian",
+        lambda grid, psi: built.append(1) or hessian(grid, psi),
+    )
+    cfg = build_run_config(get_preset("neg-k2-stiff"))
+    state = run(cfg.geometry(), cfg.iteration)
+    assert state.converged
+    candidates = state.extrapolations_accepted + state.extrapolations_rejected
+    assert candidates > 0
+    # the step-0 tuple, each sweep output and each Anderson candidate
+    assert len(built) == cfg.k * (1 + state.step + candidates)
 
 
 def test_max_outer_reports_without_error():
@@ -262,22 +287,34 @@ def test_safeguard_takes_only_candidates_that_descend(monkeypatch):
     geom = sine_geom()
     fixed = run(geom).psis
     bump = 0.01 * np.cos(2 * np.pi * geom.grid.coords()[0])
-    state = IterationState(geom=geom, config=IterationConfig(), psis=fixed)
+    ledger = EnergyLedger(geom.k)
+    state = IterationState(
+        geom=geom, config=IterationConfig(), psis=fixed, ledger=ledger
+    )
+    fixed_terms = ledger.evaluate(geom, fixed)
     history = _Anderson()
     history.push(np.zeros_like(fixed), fixed)
 
     # D is smallest at the fixed point, so a bumped candidate is refused
     # and the history restarts from the newest pair
     monkeypatch.setattr(history, "extrapolate", lambda: fixed + bump)
-    assert _accelerate(state, history, fixed, fixed) is fixed
+    taken, terms = _accelerate(state, history, fixed, fixed, fixed_terms)
+    assert taken is fixed and terms is fixed_terms
     assert len(history.residuals) == len(history.outputs) == 1
-    # a candidate below the sweep output is taken, shifted into the gauge
+    # a candidate below the sweep output is taken, shifted into the gauge,
+    # and comes with the terms of the tuple taken
     monkeypatch.setattr(history, "extrapolate", lambda: fixed + 0.3)
-    taken = _accelerate(state, history, fixed, fixed + bump)
+    swept = fixed + bump
+    taken, terms = _accelerate(
+        state, history, fixed, swept, ledger.evaluate(geom, swept)
+    )
     np.testing.assert_allclose(taken, fixed, rtol=0, atol=1e-15)
+    assert terms == ledger.evaluate(geom, taken)
     # a candidate outside the cone is refused
     monkeypatch.setattr(history, "extrapolate", lambda: fixed + 10 * bump)
-    assert _accelerate(state, history, fixed, fixed) is fixed
+    taken, terms = _accelerate(state, history, fixed, fixed, fixed_terms)
+    assert taken is fixed and terms is fixed_terms
+    assert len(history.residuals) == len(history.outputs) == 1
     assert (state.extrapolations_accepted, state.extrapolations_rejected) == (1, 2)
 
 

@@ -6,7 +6,6 @@ from coupled_ricci import monge_ampere
 from coupled_ricci import (
     BackgroundGeometry,
     PeriodicGrid,
-    admissibility_margin,
     continuity_solve,
     dense_newton,
     hessian,
@@ -14,7 +13,6 @@ from coupled_ricci import (
     log_ma_linearization,
     ma_density,
     newton_step,
-    solve_calabi_yau,
     solve_tke,
 )
 from coupled_ricci.errors import (
@@ -23,6 +21,8 @@ from coupled_ricci.errors import (
     NonAdmissible,
     ValidationError,
 )
+
+from cone_margin import admissibility_margin
 
 
 def make_geom(n=1, N=16, lam=-1, k=1, a=1.0, f=None):
@@ -625,7 +625,9 @@ def test_newton_budget_below_one_is_rejected():
                     geom, 0, np.zeros(16), warm_start=warm, max_newton=budget
                 )
     with pytest.raises(ValueError, match="max_newton"):
-        solve_calabi_yau(g, np.array([[1.0]]), f, max_newton=0)
+        monge_ampere._damped_newton(
+            g, np.array([[1.0]]), np.log(f), 1e-10, np.zeros(16), 0, t=0.0
+        )
 
 
 def test_newton_converging_on_its_last_allowed_step_succeeds():
@@ -643,12 +645,24 @@ def test_newton_converging_on_its_last_allowed_step_succeeds():
 
 
 # ---------------------------------------------------------------------------
-# Calabi-Yau solve
+# the t = 0 rung: the Calabi-Yau-type equation
+
+
+def calabi_yau(grid, A, rho, tol_inner=1e-10):
+    """ma_density(A, psi) = c * rho with mean psi = 0, as the t = 0 rung.
+
+    c is the volume ratio integrate(ma_density) / integrate(rho).
+    """
+    psi, _, _ = monge_ampere._damped_newton(
+        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape), 40, t=0.0
+    )
+    c = grid.integrate(ma_density(grid, A, psi)) / grid.integrate(rho)
+    return psi, c
 
 
 def test_calabi_yau_constant_target():
     g = PeriodicGrid(1, 16)
-    psi, c, rep = solve_calabi_yau(g, np.array([[1.5]]), np.full(16, 2.0))
+    psi, c = calabi_yau(g, np.array([[1.5]]), np.full(16, 2.0))
     np.testing.assert_allclose(psi, 0.0, atol=1e-13)
     assert c == pytest.approx(0.75, rel=1e-13)
 
@@ -666,12 +680,6 @@ def test_calabi_yau_matches_dense_reference():
 
     u0 = np.concatenate([np.zeros(8), [1.0 / g.integrate(rho)]])
     u_ref, _ = dense_newton(stacked_residual, u0, tol=1e-13)
-    psi, c, rep = solve_calabi_yau(g, A, rho, tol_inner=1e-12)
+    psi, c = calabi_yau(g, A, rho, tol_inner=1e-12)
     assert np.abs(psi - u_ref[:8]).max() <= 1e-8
     assert c == pytest.approx(u_ref[8], rel=1e-8)
-
-
-def test_calabi_yau_rejects_bad_target():
-    g = PeriodicGrid(1, 8)
-    with pytest.raises(ValueError):
-        solve_calabi_yau(g, np.array([[1.0]]), np.zeros(8))
