@@ -41,12 +41,17 @@ def eval_field_expr(expr: str, grid: PeriodicGrid) -> np.ndarray:
 
     The language is deliberately tiny: numbers, pi, the coordinates
     x_1..x_n, the four arithmetic operators, unary sign, and the
-    functions sin, cos, exp.  Anything else raises ParseError.
+    functions sin, cos, exp.  Anything else raises ParseError, and so
+    does an expression nested past Python's recursion limit, such as a
+    written-out sum of some thousand terms.
     """
+    too_deep = f"expression of {len(expr)} characters is too deeply nested"
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ParseError(f"expression {expr!r}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(too_deep) from None
 
     names = {"pi": np.pi}
     for axis, coord in enumerate(grid.coords()):
@@ -88,7 +93,10 @@ def eval_field_expr(expr: str, grid: PeriodicGrid) -> np.ndarray:
             f"{ast.dump(node, annotate_fields=False)[:60]}"
         )
 
-    value = visit(tree)
+    try:
+        value = visit(tree)
+    except RecursionError:
+        raise ParseError(too_deep) from None
     return np.broadcast_to(np.asarray(value, dtype=float), grid.shape).copy()
 
 

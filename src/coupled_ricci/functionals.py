@@ -270,6 +270,11 @@ class EnergyLedger:
             if header != ledger.columns:
                 raise ValueError(f"{path}: unexpected ledger header")
             for raw in reader:
+                if len(raw) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num} has {len(raw)} "
+                        f"fields, expected {len(header)}"
+                    )
                 row = {}
                 for name, text in zip(header, raw):
                     if name in ("step", "inner_iters"):

@@ -68,6 +68,25 @@ class PeriodicGrid:
             - 2.0 * values
         ) / self.h**2
 
+    def pad(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Copy a field into ``out`` padded by one periodic cell on every side.
+
+        ``out`` has N + 2 points per axis; a new one is made when None.
+        """
+        if out is None:
+            out = np.empty((self.N + 2,) * self.n)
+        if self.n == 1:
+            out[1:-1] = values
+            out[0] = values[-1]
+            out[-1] = values[0]
+            return out
+        out[1:-1, 1:-1] = values
+        out[0, 1:-1] = values[-1]
+        out[-1, 1:-1] = values[0]
+        out[:, 0] = out[:, -2]
+        out[:, -1] = out[:, 1]
+        return out
+
     def stencils(self, values: np.ndarray):
         """Yield the Hessian stencils of a field from one periodic halo copy.
 
@@ -79,18 +98,10 @@ class PeriodicGrid:
         only one alive.
         """
         h2 = self.h**2
-        halo = np.empty((self.N + 2,) * self.n)
+        halo = self.pad(values)
         if self.n == 1:
-            halo[1:-1] = values
-            halo[0] = values[-1]
-            halo[-1] = values[0]
             yield (halo[2:] + halo[:-2] - 2.0 * values) / h2
             return
-        halo[1:-1, 1:-1] = values
-        halo[0, 1:-1] = values[-1]
-        halo[-1, 1:-1] = values[0]
-        halo[:, 0] = halo[:, -2]
-        halo[:, -1] = halo[:, 1]
         up, down = halo[2:, 1:-1], halo[:-2, 1:-1]
         right, left = halo[1:-1, 2:], halo[1:-1, :-2]
         yield (up + down - 2.0 * values) / h2

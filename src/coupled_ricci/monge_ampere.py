@@ -9,13 +9,13 @@ grid point; solvers keep their iterates strictly inside that cone.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import gmres, spsolve
+from scipy.sparse.linalg import spsolve
 
 from .errors import (
     ContinuityBreakdown,
@@ -30,13 +30,14 @@ logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 50
 
-# GMRES settings of the Newton linear solve.  It stops at the looser of a
-# relative tolerance and an absolute floor of _KRYLOV_ATOL_FACTOR * tol *
-# sqrt(P), tol being the Newton tolerance: on fine 2-d grids the linear
-# residual rounds at h^-2 scale, above any floor that small.  The relative
-# tolerance is the inexact-Newton forcing term (Eisenstat & Walker 1996):
-# the sup norm of the residual GMRES solves, clipped to [_KRYLOV_RTOL,
-# _FORCING_MAX], which keeps the local convergence quadratic.
+# GMRES settings of the Newton linear solve.  It stops when the true
+# residual meets the looser of a relative tolerance and an absolute floor
+# of _KRYLOV_ATOL_FACTOR * tol * sqrt(P), tol being the Newton tolerance:
+# on fine 2-d grids the linear residual rounds at h^-2 scale, above any
+# floor that small.  The relative tolerance is the inexact-Newton forcing
+# term (Eisenstat & Walker 1996): the sup norm of the residual GMRES
+# solves, clipped to [_KRYLOV_RTOL, _FORCING_MAX], which keeps the local
+# convergence quadratic.
 _KRYLOV_RTOL = 1e-10
 _FORCING_MAX = 0.1
 _KRYLOV_ATOL_FACTOR = 0.01
@@ -171,9 +172,10 @@ class SolveReport:
 
     ``damping_factors`` and ``krylov_iterations`` hold one entry per
     Newton step: the accepted line-search factor, and the preconditioner
-    applications of that step's GMRES solve.  On a continuity path these
-    two lists and ``newton_iterations`` span all rungs, and
-    ``continuity_trace`` lists (t, Newton steps) per rung; the
+    applications of that step's GMRES solve, which are one per Arnoldi
+    step plus one per restart cycle (the update of the iterate).  On a
+    continuity path these two lists and ``newton_iterations`` span all
+    rungs, and ``continuity_trace`` lists (t, Newton steps) per rung; the
     ``residual_history`` holds the last rung only.
     """
 
@@ -343,61 +345,75 @@ def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
 
 
 def _newton_operators(grid, A, hess, dens, t):
-    """Matrix-free bordered Newton matrix, its FFT preconditioner and a counter.
+    """Matrix-free bordered Newton matrix and its FFT preconditioner.
 
     L is log_ma_linearization at the field with Hessian ``hess`` and
-    density ``dens``, applied through ``grid.stencils``.  The matrix is
-    the rung matrix [[L + t*I, -1], [1^T/P, 0]] acting on (delta_u,
-    delta_s).
+    density ``dens``.  The matrix is the rung matrix [[L + t*I, -1],
+    [1^T/P, 0]] acting on (delta_u, delta_s), with L + t*I applied as one
+    variable-coefficient stencil: a weight field per offset, 1/h^2 and t
+    folded in.  The offsets are the centre and the taps of
+    ``PeriodicGrid.stencils``: +-1 in 1-d; +-e_1, +-e_2, (1, 1) and
+    (-1, -1) in 2-d.
 
-    The preconditioner inverts the Fourier symbol of the same stencils
-    with grid-mean coefficients.  The zero Fourier mode and s form the
-    2-by-2 block [[t, -1], [1, 0]], which is invertible for every t.  The
-    one-element list returned last counts preconditioner applications.
+    The preconditioner inverts the Fourier symbol of the same stencil with
+    grid-mean weights.  The zero Fourier mode and s form the 2-by-2 block
+    [[t, -1], [1, 0]], which is invertible for every t.  Returns the
+    functions (matvec, psolve) on flat arrays of size P + 1.
     """
     shape = grid.shape
     P = grid.num_points
     axes = tuple(range(grid.n))
     zero_mode = (0,) * grid.n
+    inv = 1.0 / (dens * grid.h**2)
     if grid.n == 1:
-        coeffs = [1.0 / dens]
+        weights = {(0,): t - 2.0 * inv, (1,): inv, (-1,): inv}
     else:
-        coeffs = [
-            (A[1, 1] + hess.diag[1]) / dens,
-            (A[0, 0] + hess.diag[0]) / dens,
-            -(A[0, 1] + hess.mixed_plus) / dens,
-            -(A[0, 1] + hess.mixed_minus) / dens,
-        ]
+        c0 = (A[1, 1] + hess.diag[1]) * inv
+        c1 = (A[0, 0] + hess.diag[0]) * inv
+        cp = -(A[0, 1] + hess.mixed_plus) * inv
+        cm = -(A[0, 1] + hess.mixed_minus) * inv
+        weights = {
+            (0, 0): t + cp + cm - 2.0 * (c0 + c1),
+            (1, 0): c0 - cp, (-1, 0): c0 - cm,
+            (0, 1): c1 - cp, (0, -1): c1 - cm,
+            (1, 1): cp, (-1, -1): cm,
+        }
 
-    def apply_L(v):
-        return sum(c * d for c, d in zip(coeffs, grid.stencils(v)))
-
-    # With grid-mean coefficients L is a circular convolution, so its
+    # With grid-mean weights the stencil is a circular convolution, so its
     # Fourier symbol is the transform of its response to a unit impulse.
     # The grid means of the coefficients of an admissible field form a
-    # positive semidefinite matrix, so the real part of the symbol is
-    # <= 0 and symbol + t vanishes off the zero mode only for some t > 0.
-    impulse = np.zeros(shape)
-    impulse[zero_mode] = 1.0
-    symbol = np.fft.rfftn(
-        sum(c.mean() * d for c, d in zip(coeffs, grid.stencils(impulse))),
-        axes=axes,
-    )
-    denom = symbol + t
+    # positive semidefinite matrix, so the real part of the symbol is <= t
+    # and it vanishes off the zero mode only for some t > 0.
+    response = np.zeros(shape)
+    for offset, weight in weights.items():
+        response[tuple(-step for step in offset)] = weight.mean()
+    denom = np.fft.rfftn(response)
     denom[zero_mode] = 1.0
     inv_symbol = 1.0 / denom
     inv_symbol[zero_mode] = 0.0
-    applications = [0]
+
+    centre = weights.pop(zero_mode)
+    taps = [
+        (weight, tuple(slice(1 + step, grid.N + 1 + step) for step in offset))
+        for offset, weight in weights.items()
+    ]
+    halo = np.empty((grid.N + 2,) * grid.n)
+    product = np.empty(shape)
 
     def matvec(x):
         v = x[:P].reshape(shape)
+        grid.pad(v, halo)
         out = np.empty(P + 1)
-        out[:P] = (apply_L(v) + t * v).ravel() - x[P]
+        acc = out[:P].reshape(shape)
+        np.multiply(centre, v, out=acc)
+        for weight, tap in taps:
+            np.multiply(weight, halo[tap], out=product)
+            acc += product
+        acc -= x[P]
         out[P] = v.sum() / P
         return out
 
     def psolve(x):
-        applications[0] += 1
         r = x[:P].reshape(shape)
         out = np.empty(P + 1)
         inv_r = np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
@@ -405,10 +421,72 @@ def _newton_operators(grid, A, hess, dens, t):
         out[P] = t * x[P] - r.sum() / P
         return out
 
-    size = P + 1
-    operator = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
-    preconditioner = spla.LinearOperator((size, size), matvec=psolve, dtype=float)
-    return operator, preconditioner, applications
+    return matvec, psolve
+
+
+def _krylov_solve(matvec, psolve, b, rtol, atol):
+    """Restarted GMRES with right preconditioning, started from x = 0.
+
+    Solves A x = b for the operator ``matvec`` with the preconditioner
+    ``psolve`` (Saad & Schultz 1986).  Each cycle builds an Arnoldi basis
+    of A M in one (m+1)-by-size array, orthogonalised by classical
+    Gram-Schmidt applied twice, and tracks the least-squares residual with
+    Givens rotations.  The cycle ends when that residual meets the target
+    max(rtol*||b||, atol) or after _KRYLOV_RESTART steps; x is then updated
+    and the true residual b - A x recomputed.  The solve stops when the
+    true residual meets the target, or after _KRYLOV_MAXITER cycles.
+    Returns (x, converged, applications of ``psolve``).
+    """
+    target = max(rtol * float(np.linalg.norm(b)), atol)
+    x = np.zeros_like(b)
+    r = b
+    beta = float(np.linalg.norm(r))
+    applications = 0
+    if beta <= target:
+        return x, True, applications
+    m = _KRYLOV_RESTART
+    basis = np.empty((m + 1, b.size))
+    rot = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+    eps = np.finfo(float).eps
+    for _ in range(_KRYLOV_MAXITER):
+        np.divide(r, beta, out=basis[0])
+        g = [beta]
+        cos, sin = [], []
+        for j in range(m):
+            w = matvec(psolve(basis[j]))
+            applications += 1
+            w_norm = np.linalg.norm(w)
+            done = basis[: j + 1]
+            col = done @ w
+            w -= col @ done
+            again = done @ w
+            w -= again @ done
+            col += again
+            h_next = float(np.linalg.norm(w))
+            col = col.tolist()
+            for i in range(j):
+                upper, lower = col[i], col[i + 1]
+                col[i] = cos[i] * upper + sin[i] * lower
+                col[i + 1] = cos[i] * lower - sin[i] * upper
+            diag = math.hypot(col[j], h_next)
+            cos.append(col[j] / diag)
+            sin.append(h_next / diag)
+            col[j] = diag
+            rot[: j + 1, j] = col
+            g.append(-sin[j] * g[j])
+            g[j] *= cos[j]
+            if abs(g[j + 1]) <= target or h_next <= eps * w_norm:
+                break
+            np.divide(w, h_next, out=basis[j + 1])
+        k = j + 1
+        y = np.linalg.solve(rot[:k, :k], g[:k])
+        x += psolve(y @ basis[:k])
+        applications += 1
+        r = b - matvec(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            return x, True, applications
+    return x, False, applications
 
 
 def _newton_direction(grid, A, hess, dens, res, tol, t, mean,
@@ -421,27 +499,20 @@ def _newton_direction(grid, A, hess, dens, res, tol, t, mean,
     (delta_u, delta_s, krylov_iterations); raises NoConvergence rather
     than return an unconverged direction.
     """
-    operator, preconditioner, applications = _newton_operators(
-        grid, A, hess, dens, t
-    )
+    matvec, psolve = _newton_operators(grid, A, hess, dens, t)
     P = grid.num_points
     rhs = -np.append(res.ravel(), mean)
-    sol, info = gmres(
-        operator, rhs,
-        rtol=rtol,
-        atol=_KRYLOV_ATOL_FACTOR * tol * np.sqrt(P),
-        restart=_KRYLOV_RESTART,
-        maxiter=_KRYLOV_MAXITER,
-        M=preconditioner,
+    sol, converged, applications = _krylov_solve(
+        matvec, psolve, rhs, rtol, _KRYLOV_ATOL_FACTOR * tol * np.sqrt(P)
     )
-    if info != 0:
-        reached = np.linalg.norm(rhs - operator @ sol) / np.linalg.norm(rhs)
+    if not converged:
+        reached = np.linalg.norm(rhs - matvec(sol)) / np.linalg.norm(rhs)
         raise NoConvergence(
             f"Newton linear solve (GMRES) did not converge after "
-            f"{applications[0]} preconditioned iterations; relative "
+            f"{applications} preconditioned iterations; relative "
             f"residual {reached:.3e}"
         )
-    return sol[:P].reshape(grid.shape), float(sol[P]), applications[0]
+    return sol[:P].reshape(grid.shape), float(sol[P]), applications
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,22 @@ def test_validate_rejects_nonpositive_density(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("terms", [1200, 5000])
+def test_validate_rejects_a_too_deeply_nested_density(tmp_path, capsys, terms):
+    # 1,200 terms exceed the recursion limit while evaluating the parsed
+    # expression, 5,000 already while parsing it
+    cfg = get_preset("neg-k2-sine")
+    cfg["f"] = "1" + "+0" * terms
+    cfg["lambda"] = 7
+    path = tmp_path / "deep_f.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration invalid" in err
+    assert f"expression of {2 * terms + 1} characters is too deeply nested" in err
+    assert "lambda" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_run_rejects_non_finite_tolerance(tmp_path, capsys, tol):
     out = tmp_path / "out"

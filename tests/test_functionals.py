@@ -308,6 +308,21 @@ def test_ledger_records_and_round_trips(tmp_path):
         np.testing.assert_array_equal(back.column(name), ledger.column(name))
 
 
+@pytest.mark.parametrize("cut", [5, None])
+def test_ledger_rejects_a_row_of_the_wrong_length(tmp_path, cut):
+    # a truncated last row, or one with an extra field, is named by file and
+    # line instead of loading as a row without D
+    path = tmp_path / "ledger.csv"
+    run(sine_geom(N=16)).ledger.to_csv(path)
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    lines[-1] = ",".join(fields[:cut] if cut else fields + ["0"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        EnergyLedger.from_csv(path)
+    assert str(err.value).startswith(f"{path}: line {len(lines)} has ")
+
+
 def test_ledger_header_line(tmp_path):
     geom = sine_geom(N=16)
     state = run(geom)

@@ -130,6 +130,17 @@ def test_halo_stencils_equal_roll_formulas(n, N):
             assert np.array_equal(h.mixed_minus, want[3])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_pad_is_a_periodic_wrap(n):
+    g = PeriodicGrid(n, 6)
+    v = np.random.default_rng(n).standard_normal(g.shape)
+    want = np.pad(v, 1, mode="wrap")
+    assert np.array_equal(g.pad(v), want)
+    out = np.full(want.shape, np.nan)
+    assert g.pad(v, out) is out
+    assert np.array_equal(out, want)
+
+
 def test_field_file_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     for n, N in ((1, 16), (2, 6)):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,7 @@ import scipy.sparse as sp
 from coupled_ricci import monge_ampere
 from coupled_ricci import (
     BackgroundGeometry,
+    IterationConfig,
     PeriodicGrid,
     continuity_solve,
     dense_newton,
@@ -13,6 +16,7 @@ from coupled_ricci import (
     log_ma_linearization,
     ma_density,
     newton_step,
+    run,
     solve_tke,
 )
 from coupled_ricci.errors import (
@@ -277,14 +281,14 @@ def _assembled_system(g, A, phi, t):
 def test_matrix_free_operator_matches_assembled_jacobian(n, N, t):
     g, A, phi, rng = _random_admissible(n, N, 20)
     hess = hessian(g, phi)
-    operator, _, _ = monge_ampere._newton_operators(
+    matvec, _ = monge_ampere._newton_operators(
         g, A, hess, ma_density(g, A, hess=hess), t
     )
     ref = _assembled_system(g, A, phi, t)
     for _ in range(3):
         x = rng.standard_normal(ref.shape[1])
         want = ref @ x
-        got = operator @ x
+        got = matvec(x)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -335,13 +339,13 @@ def test_constant_shifted_warm_start_takes_one_newton_step(eps):
 
 
 def test_unconverged_krylov_solve_raises(monkeypatch):
-    def stalled(operator, rhs, **_kwargs):
-        return np.zeros_like(rhs), 7
+    def stalled(matvec, psolve, rhs, rtol, atol):
+        return np.zeros_like(rhs), False, 7
 
     def no_line_search(*_args, **_kwargs):
         raise AssertionError("unconverged direction reached the line search")
 
-    monkeypatch.setattr(monge_ampere, "gmres", stalled)
+    monkeypatch.setattr(monge_ampere, "_krylov_solve", stalled)
     monkeypatch.setattr(monge_ampere, "_line_search", no_line_search)
     g = PeriodicGrid(1, 16)
     x = g.coords()[0]
@@ -387,6 +391,101 @@ def test_forcing_term_saves_krylov_iterations(monkeypatch, lam):
     assert rep.residual <= 1e-10 and rep_fixed.residual <= 1e-10
     assert sum(rep.krylov_iterations) < sum(rep_fixed.krylov_iterations)
     assert np.abs(psi - psi_fixed).max() <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the Krylov loop on small dense systems
+
+
+def _nonsymmetric_system(size, seed):
+    rng = np.random.default_rng(seed)
+    mat = np.eye(size) + 0.4 * rng.standard_normal((size, size)) / np.sqrt(size)
+    mat[np.diag_indices(size)] += rng.uniform(0.0, 3.0, size)
+    return mat, rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("restart", [6, 50])
+@pytest.mark.parametrize("rtol,atol", [(1e-12, 0.0), (0.0, 1e-9), (1e-3, 1e-9)])
+def test_krylov_solve_matches_a_direct_solve(monkeypatch, restart, rtol, atol):
+    # restart 6 < 40 unknowns makes the solve restart several times
+    monkeypatch.setattr(monge_ampere, "_KRYLOV_RESTART", restart)
+    mat, b = _nonsymmetric_system(40, 5)
+    assert np.abs(mat - mat.T).max() > 0.1
+    diag = np.diag(mat).copy()
+    x, converged, its = monge_ampere._krylov_solve(
+        lambda v: mat @ v, lambda v: v / diag, b, rtol, atol
+    )
+    assert converged and its > 0
+    target = max(rtol * np.linalg.norm(b), atol)
+    assert np.linalg.norm(b - mat @ x) <= target
+    want = np.linalg.solve(mat, b)
+    bound = target * np.linalg.norm(np.linalg.inv(mat), 2)
+    assert np.linalg.norm(x - want) <= bound
+
+
+def test_krylov_solve_with_the_exact_inverse_takes_one_step():
+    mat, b = _nonsymmetric_system(30, 6)
+    inverse = np.linalg.inv(mat)
+    x, converged, its = monge_ampere._krylov_solve(
+        lambda v: mat @ v, lambda v: inverse @ v, b, 1e-12, 0.0
+    )
+    # one Arnoldi step, then one application to update x
+    assert converged and its == 2
+    np.testing.assert_allclose(x, np.linalg.solve(mat, b), rtol=0, atol=1e-12)
+
+
+def test_krylov_solve_reports_an_exhausted_budget():
+    mat, b = _nonsymmetric_system(30, 7)
+    diag = np.diag(mat).copy()
+    x, converged, its = monge_ampere._krylov_solve(
+        lambda v: mat @ v, lambda v: v / diag, b, 0.0, 0.0
+    )
+    assert not converged
+    assert monge_ampere._KRYLOV_MAXITER < its
+    assert its <= monge_ampere._KRYLOV_MAXITER * (monge_ampere._KRYLOV_RESTART + 1)
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_slice_solves_call_no_scipy():
+    # The Newton path runs on numpy alone; scipy serves only the assembled
+    # reference.  Records every call into a scipy module.
+    calls = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__") or ""
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None) or ""
+        else:
+            return
+        if module == "scipy" or module.startswith("scipy."):
+            calls.add(module)
+
+    g = PeriodicGrid(1, 16)
+    x = g.coords()[0]
+    f = np.exp(0.3 * np.sin(2 * np.pi * x))
+    neg = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
+    pos = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
+    g2 = PeriodicGrid(2, 8)
+    x1, x2 = g2.coords()
+    f2 = 1 + 0.3 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+    geom2 = BackgroundGeometry(
+        grid=g2, lam=-1, A=np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]),
+        f=f2,
+    )
+    sys.setprofile(record)
+    try:
+        solve_tke(neg, 0, np.zeros(16))
+        psi, path = solve_tke(pos, 0, np.zeros(16))
+        _, direct = solve_tke(pos, 0, np.zeros(16), warm_start=psi)
+        state = run(geom2, IterationConfig(max_outer=5))
+    finally:
+        sys.setprofile(None)
+    assert len(path.continuity_trace) > 1
+    assert direct.continuity_trace == [(1.0, direct.newton_iterations)]
+    assert state.step > 0
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
