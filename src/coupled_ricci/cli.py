@@ -118,9 +118,14 @@ def cmd_run(args) -> int:
         f"{cfg.name}: {state.reason} after {state.step} steps "
         f"(outputs in {out_dir})"
     )
+    return _exit_code(state)
+
+
+def _exit_code(state) -> int:
+    """0 converged; 2 for an outer budget spent or a stalled sweep; else 3."""
     if state.converged:
         return EXIT_OK
-    if state.reason == "max_outer":
+    if state.reason == "max_outer" or state.reason.startswith("stalled"):
         return EXIT_MAX_OUTER
     return EXIT_INNER_FAILURE
 
@@ -174,9 +179,7 @@ def cmd_oracle(args) -> int:
     state = run(geom, coarse.iteration)
     if not state.converged:
         print(f"engine did not converge on the coarse problem: {state.reason}")
-        return (
-            EXIT_MAX_OUTER if state.reason == "max_outer" else EXIT_INNER_FAILURE
-        )
+        return _exit_code(state)
     psis_ref, _cs, d_ref, newton_iters = oracle_fixed_point(geom)
     report = compare_oracle(geom, state.psis, psis_ref, d_ref)
     report["N"] = coarse.N

@@ -36,10 +36,14 @@ logger = logging.getLogger(__name__)
 
 _INNER_ERRORS = (NoConvergence, NonAdmissibleStep, ContinuityBreakdown, NonAdmissible)
 
-# Anderson history depth m.  On the stiff 1-d problem (A_i ~ 1e3) m = 2
-# needed 27 sweeps, m = 3 needed 20 and m = 5 needed 14; m = 3 keeps the
-# stored history at eight tuples.
-ANDERSON_DEPTH = 3
+# Anderson history depth m; the history holds 2(m + 1) tuples.  Sweeps at
+# the default tolerances, m = 3 -> m = 8:
+#   neg-k2-stiff (1-d, A ~ 1e3, N = 64)          21 -> 11
+#   k = 3, A = (1000, 1300, 800), 1-d, N = 32     61 -> 34
+#   2-d, N = 32, A = 1e3 (I, [[2, .5], [.5, 1]])  29 -> 19
+#   1-d, A = (1e4, 1.3e4), N = 32                 77 -> 48
+# Runs that need at most six sweeps keep their counts.
+ANDERSON_DEPTH = 8
 
 
 # The allowed values of each string setting of IterationConfig.
@@ -176,16 +180,28 @@ class _Anderson:
     Keeps the last ``ANDERSON_DEPTH + 1`` residuals f_j = G(x_j) - x_j and
     outputs G(x_j); the outputs are held by reference, so the newest one
     is the sweep result itself.  The differences are never stored: the
-    least-squares Gram matrix comes from the inner products of the f_j.
+    least-squares Gram matrix comes from the inner products <f_a, f_b>,
+    which ``inner`` keeps as the residuals come and go.
     """
 
     def __init__(self):
         self.residuals = deque(maxlen=ANDERSON_DEPTH + 1)
         self.outputs = deque(maxlen=ANDERSON_DEPTH + 1)
+        self.inner = np.zeros((0, 0))
 
     def push(self, x, gx) -> None:
-        self.residuals.append(gx - x)
+        """Add a pair; one new row of ``inner``, the evicted one dropped."""
+        f = gx - x
+        kept = self.inner
+        if len(self.residuals) == self.residuals.maxlen:
+            kept = kept[1:, 1:]
+        self.residuals.append(f)
         self.outputs.append(gx)
+        p = len(self.residuals)
+        inner = np.empty((p, p))
+        inner[:-1, :-1] = kept
+        inner[-1] = inner[:, -1] = [np.vdot(a, f) for a in self.residuals]
+        self.inner = inner
 
     def restart(self) -> None:
         """Drop every pair but the newest."""
@@ -193,22 +209,22 @@ class _Anderson:
             newest = pairs[-1]
             pairs.clear()
             pairs.append(newest)
+        self.inner = self.inner[-1:, -1:]
 
     def extrapolate(self):
         """G(x_j) - sum_a gamma_a (G(x_{a+1}) - G(x_a)), or None.
 
         gamma minimises |f_j - sum_a gamma_a (f_{a+1} - f_a)|_2.  The m x m
-        normal equations get a shift of 1e-10 times their trace, which
+        normal equations get a shift of 1e-14 times their trace, which
         keeps them solvable when the residuals are nearly collinear.
         """
         p = len(self.residuals)
         if p < 2:
             return None
-        inner = np.array([[np.vdot(a, b) for b in self.residuals]
-                          for a in self.residuals])
+        inner = self.inner
         # inner products of the differences f_{a+1} - f_a
         gram = inner[1:, 1:] - inner[1:, :-1] - inner[:-1, 1:] + inner[:-1, :-1]
-        shift = 1e-10 * np.trace(gram)
+        shift = 1e-14 * np.trace(gram)
         if not shift > 0.0:
             return None
         gamma = np.linalg.solve(
@@ -273,6 +289,9 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     energies are undefined outside the cone.  Each tuple is evaluated
     once, by ``EnergyLedger.evaluate``, for the Anderson safeguard, the
     stopping test and the ledger row; ``record_every`` only thins the rows.
+    A sweep that takes no Newton step while rho_max is above
+    ``tol_fixed_point`` would repeat forever, so its row is written and
+    the run stops as ``"stalled"``.
     """
     if config is None:
         config = IterationConfig()
@@ -328,13 +347,23 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
             swept, terms = _accelerate(state, history, psis, swept, terms)
         psis = state.psis = swept
         state.step = step
+        residual = _row_residual(terms)
+        # a sweep without a Newton step maps the tuple to itself
+        stalled = inner_iters == 0 and residual > config.tol_fixed_point
         if (step % config.record_every == 0 or step == config.max_outer
-                or _row_residual(terms) <= config.tol_fixed_point):
+                or stalled or residual <= config.tol_fixed_point):
             wall = (time.perf_counter() - t_step) * 1e3
             state.ledger.record_state(
                 geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall,
                 terms=terms,
             )
+        if stalled:
+            state.reason = (
+                f"stalled: a sweep took no Newton step at rho_max "
+                f"{residual:.3g} > tol_fixed_point {config.tol_fixed_point:g}; "
+                f"tol_inner {config.tol_inner:g} allows no smaller residual"
+            )
+            break
     else:
         state.converged = True
         state.reason = "converged"

@@ -135,6 +135,18 @@ def test_run_exit_two_when_step_budget_runs_out(tmp_path):
     assert summary["converged"] is False
 
 
+def test_run_exit_two_when_a_sweep_stalls(tmp_path):
+    cfg = {**get_preset("neg-k2-sine"), "N": 16, "A": [1.0, 1.3]}
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out), "--tol", "1e-12"]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reason"].startswith("stalled")
+    assert summary["converged"] is False
+    assert summary["steps"] < 10
+
+
 def test_run_exit_three_on_inner_breakdown(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "pos-k2-steep", "--out", str(out)]) == 3

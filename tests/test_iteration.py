@@ -23,6 +23,7 @@ from coupled_ricci.iteration import (
     IterationState,
     _accelerate,
     _Anderson,
+    _row_residual,
 )
 from coupled_ricci.scenarios import get_preset
 
@@ -283,6 +284,28 @@ def test_anderson_solves_an_affine_map_in_dimension_plus_one_steps():
     assert len(history.residuals) == len(history.outputs) == 1
 
 
+def test_incremental_gram_equals_the_recomputed_inner_products():
+    rng = np.random.default_rng(1)
+    history = _Anderson()
+
+    def push(count):
+        for _ in range(count):
+            history.push(rng.standard_normal((2, 16)), rng.standard_normal((2, 16)))
+
+    def recomputed():
+        return np.array([[np.vdot(a, b) for b in history.residuals]
+                         for a in history.residuals])
+
+    push(ANDERSON_DEPTH + 3)
+    assert len(history.residuals) == ANDERSON_DEPTH + 1
+    assert np.array_equal(history.inner, recomputed())
+    history.restart()
+    assert np.array_equal(history.inner, recomputed())
+    push(ANDERSON_DEPTH + 2)
+    assert len(history.residuals) == ANDERSON_DEPTH + 1
+    assert np.array_equal(history.inner, recomputed())
+
+
 def test_safeguard_takes_only_candidates_that_descend(monkeypatch):
     geom = sine_geom()
     fixed = run(geom).psis
@@ -332,6 +355,28 @@ def test_anderson_cuts_the_stiff_sweep_count():
     assert plain.reason == "max_outer"
 
 
+_STIFF_2D = [[[1000.0, 0.0], [0.0, 1000.0]], [[2000.0, 500.0], [500.0, 1000.0]]]
+
+
+@pytest.mark.parametrize(
+    "data, max_sweeps",
+    [
+        (get_preset("neg-k2-stiff"), 12),
+        ({**get_preset("neg-k2-stiff"), "N": 32, "k": 3,
+          "A": [1000.0, 1300.0, 800.0]}, 40),
+        ({**get_preset("neg-k2-2d"), "N": 32, "A": _STIFF_2D,
+          "f": "1 + 0.3*sin(2*pi*x_1)*cos(2*pi*x_2)"}, 22),
+    ],
+    ids=["neg-k2-stiff", "k3-1d", "2d-n32"],
+)
+def test_deep_history_bounds_the_stiff_sweep_counts(data, max_sweeps):
+    cfg = build_run_config(data)
+    state = run(cfg.geometry(), cfg.iteration)
+    assert state.converged
+    assert state.step <= max_sweeps
+    assert state.monotone_report.ok
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     N=st.sampled_from([16, 32]),
@@ -361,6 +406,27 @@ def test_repeat_runs_are_bit_identical():
         if name == "wall_ms":
             continue
         np.testing.assert_array_equal(a.ledger.column(name), b.ledger.column(name))
+
+
+# ---------------------------------------------------------------------------
+# stalled runs
+
+
+def test_a_sweep_without_a_newton_step_stops_the_run():
+    # tol_inner leaves rho_max at about 4e-12, above tol_fixed_point, so
+    # a sweep soon takes no Newton step and returns its input
+    geom = sine_geom(N=16)
+    geom.A[1] = 1.3
+    state = run(geom, IterationConfig(tol_fixed_point=1e-12, record_every=50))
+    assert not state.converged
+    assert state.reason.startswith("stalled")
+    assert "tol_fixed_point 1e-12" in state.reason
+    assert "tol_inner 1e-10" in state.reason
+    assert state.step < 10
+    last = state.ledger.rows[-1]
+    assert last["step"] == state.step
+    assert last["inner_iters"] == 0
+    assert _row_residual(last) > 1e-12
 
 
 # ---------------------------------------------------------------------------
