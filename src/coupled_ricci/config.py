@@ -173,7 +173,9 @@ def _coerce_class_matrix(entry, n):
 
 
 def _load_field_entry(entry, grid, label, problems):
-    """Resolve one field given as expr dict, file dict, or flat array."""
+    """Resolve one field given as expression, expr dict, file dict, or flat array."""
+    if isinstance(entry, str):
+        entry = {"expr": entry}
     if isinstance(entry, dict):
         if set(entry) not in ({"expr"}, {"file"}):
             problems.append(
@@ -275,14 +277,8 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
         f_entry = data.get("f")
         if f_entry is None:
             problems.append("f is required")
-        elif isinstance(f_entry, str):
-            f_spec = f_entry
-            try:
-                f_values = eval_field_expr(f_entry, grid)
-            except ParseError as exc:
-                problems.append(str(exc))
         else:
-            f_spec = "<data>"
+            f_spec = f_entry if isinstance(f_entry, str) else "<data>"
             f_values = _load_field_entry(f_entry, grid, "f", problems)
         if f_values is not None:
             if not np.all(np.isfinite(f_values)):

@@ -227,11 +227,8 @@ class EnergyLedger:
         ]
         return dict(zip(self.columns[1:-2], values, strict=True))
 
-    def record_state(self, geom, psis, step, inner_iters, wall_ms,
-                     terms=None) -> dict:
-        """Append the row of a tuple; ``terms`` may pass its evaluate()."""
-        if terms is None:
-            terms = self.evaluate(geom, psis)
+    def record_state(self, terms, step, inner_iters, wall_ms) -> dict:
+        """Append the row of a tuple whose evaluate() gave ``terms``."""
         row = {
             "step": int(step), **terms,
             "inner_iters": int(inner_iters), "wall_ms": float(wall_ms),

@@ -45,6 +45,11 @@ _INNER_ERRORS = (NoConvergence, NonAdmissibleStep, ContinuityBreakdown, NonAdmis
 # Runs that need at most six sweeps keep their counts.
 ANDERSON_DEPTH = 8
 
+# Rounding slack and stagnation thresholds of check_monotone.
+_SLACK_COEF = 1e-9
+_STAGNATION_RES = 1e-3
+_STAGNATION_WINDOW = 3
+
 
 # The allowed values of each string setting of IterationConfig.
 _CHOICES = {
@@ -316,9 +321,7 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     terms = None
     if all(admissible):
         terms = state.ledger.evaluate(geom, psis)
-        state.ledger.record_state(
-            geom, psis, step=0, inner_iters=0, wall_ms=0.0, terms=terms
-        )
+        state.ledger.record_state(terms, step=0, inner_iters=0, wall_ms=0.0)
     else:
         bad = [i + 1 for i, ok in enumerate(admissible) if not ok]
         logger.warning(
@@ -353,10 +356,8 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         if (step % config.record_every == 0 or step == config.max_outer
                 or stalled or residual <= config.tol_fixed_point):
             wall = (time.perf_counter() - t_step) * 1e3
-            state.ledger.record_state(
-                geom, psis, step=step, inner_iters=inner_iters, wall_ms=wall,
-                terms=terms,
-            )
+            state.ledger.record_state(terms, step=step, inner_iters=inner_iters,
+                                      wall_ms=wall)
         if stalled:
             state.reason = (
                 f"stalled: a sweep took no Newton step at rho_max "
@@ -391,17 +392,15 @@ class MonotoneReport:
         return not self.violations
 
 
-def check_monotone(ledger: EnergyLedger, slack_coef: float = 1e-9,
-                   stagnation_res: float = 1e-3,
-                   stagnation_window: int = 3) -> MonotoneReport:
+def check_monotone(ledger: EnergyLedger) -> MonotoneReport:
     """Check that D descends along the ledger up to rounding slack.
 
     A transition from D_prev to D_next is a violation when
-    D_next > D_prev + slack_coef * (1 + |D_prev|).  Stagnation flags
-    ``stagnation_window`` consecutive transitions that move D by less
-    than the slack while the residual is still far from converged
-    (rho_max above ``stagnation_res``); that pattern usually means the
-    inner solves are not actually progressing.
+    D_next > D_prev + _SLACK_COEF * (1 + |D_prev|).  Stagnation flags
+    _STAGNATION_WINDOW consecutive transitions that move D by less than
+    the slack while the residual is still far from converged (rho_max
+    above _STAGNATION_RES); that pattern usually means the inner solves
+    are not actually progressing.
     """
     report = MonotoneReport()
     dvals = ledger.column("D")
@@ -412,15 +411,15 @@ def check_monotone(ledger: EnergyLedger, slack_coef: float = 1e-9,
     )
     stagnant_run = 0
     for idx in range(1, len(dvals)):
-        allowed = slack_coef * (1.0 + abs(dvals[idx - 1]))
+        allowed = _SLACK_COEF * (1.0 + abs(dvals[idx - 1]))
         increase = dvals[idx] - dvals[idx - 1]
         if increase > allowed:
             report.violations.append(
                 (int(steps[idx]), float(dvals[idx - 1]), float(dvals[idx]), allowed)
             )
-        if abs(increase) <= allowed and rho_max[idx] > stagnation_res:
+        if abs(increase) <= allowed and rho_max[idx] > _STAGNATION_RES:
             stagnant_run += 1
-            if stagnant_run >= stagnation_window:
+            if stagnant_run >= _STAGNATION_WINDOW:
                 report.stagnation_steps.append(int(steps[idx]))
         else:
             stagnant_run = 0

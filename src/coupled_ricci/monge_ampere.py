@@ -173,10 +173,10 @@ class SolveReport:
     ``damping_factors`` and ``krylov_iterations`` hold one entry per
     Newton step: the accepted line-search factor, and the preconditioner
     applications of that step's GMRES solve, which are one per Arnoldi
-    step plus one per restart cycle (the update of the iterate).  On a
-    continuity path these two lists and ``newton_iterations`` span all
-    rungs, and ``continuity_trace`` lists (t, Newton steps) per rung; the
-    ``residual_history`` holds the last rung only.
+    step plus one per restart cycle (the update of the iterate).  These
+    two lists and ``newton_iterations`` span all rungs of the path in t,
+    and ``continuity_trace`` lists (t, Newton steps) per rung, the last at
+    t = lam; the ``residual_history`` holds the last rung only.
     """
 
     newton_iterations: int = 0
@@ -268,8 +268,8 @@ def log_ma_linearization(grid, A, psi=None, hess=None) -> sp.csr_matrix:
     A = np.asarray(A, dtype=float)
     if hess is None:
         hess = hessian(grid, psi)
-    dens = ma_density(grid, A, hess=hess)
-    if dens.min() <= 0.0:
+    dens = _cone_density(grid, A, hess)
+    if dens is None:
         raise NonAdmissible("cannot linearize at a non-admissible field")
     ops = _operator_matrices(grid)
     inv = (1.0 / dens).ravel()
@@ -545,7 +545,7 @@ def _line_search(grid, A, u, s, delta, delta_s, res_norm, residual):
     raise NoConvergence("Newton line search failed to reduce the residual")
 
 
-def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=0.0):
+def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
     """Damped Newton for one slice equation in log form,
 
         log ma_density(A, u) + t*u - rhs - s = 0,  mean u = 0,
@@ -628,18 +628,20 @@ def _finalize(geom, index, g, u, mode, tol_inner, report):
     return psi, report
 
 
-def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
-              norm_mode="sup", warm_start=None):
-    """Solve one twisted slice equation for class ``index``.
+def _follow_path(geom, index, g, start, t, tol_inner, max_newton, norm_mode):
+    """Solve the rung at ``t`` from ``start``, then walk the rungs to t = lam.
 
-    The equation in the density form is
+    The right-hand side stays fixed and only the zeroth-order coefficient
+    moves with t.  Each rung solves
 
-        ma_density(A_i, psi) = c * exp(-lam * (psi + g)) * f,
+        log ma_density(A_i, phi) + t * phi = log f - lam * g + s,  mean phi = 0,
 
-    solved in log form to the sup-norm tolerance ``tol_inner``.  The
-    constant c is recomputed from the exact volume compatibility
-    identity before the final residual is recorded.  A warm start
-    outside the cone is ignored.  Returns (psi, SolveReport).
+    for (phi, s) to 0.25 * ``tol_inner``; the rung at t = lam is the slice
+    equation, whose s takes log c.  The first rung starts s at the mean
+    residual and each later rung at the previous (phi, s).  The step in t
+    starts at 0.1, doubles after success (capped at 0.25), halves on
+    failure, and aborts with ContinuityBreakdown below 1e-4.  Returns
+    (psi, SolveReport) after :func:`_finalize`.
     """
     grid = geom.grid
     A = geom.A[index]
@@ -648,80 +650,21 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         raise ValueError("coupling field g has wrong shape")
     if not np.all(np.isfinite(g)):
         raise ValueError("coupling field g must be finite")
-    inner_tol = 0.25 * tol_inner
-    # the rung equation at t = lam, whose constant s takes log c
     rhs = np.log(geom.f) - geom.lam * g
-
-    if geom.lam == -1:
-        cold = np.zeros(grid.shape)
-        phi0 = cold if warm_start is None else warm_start
-        try:
-            u, _, report = _damped_newton(
-                grid, A, rhs, inner_tol, phi0, max_newton, -1.0, s0=None
-            )
-        except NonAdmissible:  # the warm start lies outside the cone
-            u, _, report = _damped_newton(
-                grid, A, rhs, inner_tol, cold, max_newton, -1.0, s0=None
-            )
-        return _finalize(geom, index, g, u, norm_mode, tol_inner, report)
-
-    # lam = +1: try a direct solve from the warm start, else walk the path.
-    if warm_start is not None:
-        try:
-            u, _, report = _damped_newton(
-                grid, A, rhs, inner_tol, warm_start,
-                min(max_newton, 20), 1.0, s0=None,
-            )
-            report.continuity_trace = [(1.0, report.newton_iterations)]
-            return _finalize(geom, index, g, u, norm_mode, tol_inner, report)
-        except (NonAdmissible, NoConvergence, NonAdmissibleStep):
-            logger.debug(
-                "direct positive-sign solve failed for class %d; "
-                "falling back to the continuity path",
-                index + 1,
-            )
-    return continuity_solve(
-        geom, index, g,
-        tol_inner=tol_inner, max_newton=max_newton, norm_mode=norm_mode,
-    )
-
-
-def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
-                     norm_mode="sup"):
-    """Reach the lam=+1 slice solution along the parameter path t: 0 -> 1.
-
-    The right-hand side stays fixed and only the zeroth-order coefficient
-    moves with t.  Each rung solves
-
-        log ma_density(A_i, phi) + t * phi = log f - g + s,  mean phi = 0,
-
-    for (phi, s), starting from the previous rung.  At t = 0 this is the
-    Calabi-Yau-type equation, solved from zero; t = 1 is the slice
-    equation.  The step starts at 0.1, doubles after success (capped at
-    0.25), halves on failure, and aborts with ContinuityBreakdown below
-    1e-4.
-    """
-    if geom.lam != 1:
-        raise ValueError("continuity path applies to lam = +1 problems")
-    grid = geom.grid
-    A = geom.A[index]
-    g = np.asarray(g, dtype=float)
-    rhs = np.log(geom.f) - g
     inner_tol = 0.25 * tol_inner
 
-    report = SolveReport()
+    t_cur, t_end = float(t), float(geom.lam)
     phi, s, rung = _damped_newton(
-        grid, A, rhs, inner_tol, np.zeros(grid.shape), max_newton, t=0.0
+        grid, A, rhs, inner_tol, start, max_newton, t_cur
     )
-    report.append_rung(0.0, rung)
-
-    t_cur = 0.0
+    report = SolveReport()
+    report.append_rung(t_cur, rung)
     dt = 0.1
-    while t_cur < 1.0:
-        t_try = min(1.0, t_cur + dt)
+    while t_cur < t_end:
+        t_try = min(t_end, t_cur + dt)
         try:
             phi, s, rung = _damped_newton(
-                grid, A, rhs, inner_tol, phi, max_newton, t=t_try, s0=s
+                grid, A, rhs, inner_tol, phi, max_newton, t_try, s0=s
             )
         except (NoConvergence, NonAdmissibleStep):
             dt *= 0.5
@@ -738,3 +681,51 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
         dt = min(dt * 2.0, 0.25)
     return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
 
+
+def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
+              norm_mode="sup", warm_start=None):
+    """Solve one twisted slice equation for class ``index``.
+
+    The equation in the density form is
+
+        ma_density(A_i, psi) = c * exp(-lam * (psi + g)) * f,
+
+    solved in log form to the sup-norm tolerance ``tol_inner``.  The
+    constant c is recomputed from the exact volume compatibility
+    identity before the final residual is recorded.  A warm start gets
+    one direct attempt at t = lam of at most min(max_newton, 20) Newton
+    steps; if it lies outside the cone or that attempt fails, the slice
+    is solved from zero by :func:`continuity_solve`.  Returns
+    (psi, SolveReport).
+    """
+    if warm_start is not None:
+        try:
+            return _follow_path(
+                geom, index, g, warm_start, geom.lam, tol_inner,
+                min(max_newton, 20), norm_mode,
+            )
+        except (NonAdmissible, NoConvergence, NonAdmissibleStep):
+            logger.debug(
+                "direct solve from the warm start failed for class %d; "
+                "solving from zero along the continuity path",
+                index + 1,
+            )
+    return continuity_solve(
+        geom, index, g,
+        tol_inner=tol_inner, max_newton=max_newton, norm_mode=norm_mode,
+    )
+
+
+def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
+                     norm_mode="sup"):
+    """Solve the slice equation from zero along the parameter path in t.
+
+    The path starts at t = min(lam, 0) and ends at t = lam: for lam = -1
+    it is the single rung t = -1, the slice equation itself; for lam = +1
+    it starts at t = 0, the Calabi-Yau-type equation, and walks the rungs
+    of :func:`_follow_path` up to t = 1.
+    """
+    return _follow_path(
+        geom, index, g, np.zeros(geom.grid.shape), min(geom.lam, 0),
+        tol_inner, max_newton, norm_mode,
+    )

@@ -74,10 +74,6 @@ class StackedSystem:
 
     geom: BackgroundGeometry
 
-    @property
-    def num_unknowns(self) -> int:
-        return self.geom.k * self.geom.grid.num_points + self.geom.k
-
     def split(self, u):
         k = self.geom.k
         pts = self.geom.grid.num_points

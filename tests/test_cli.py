@@ -438,3 +438,21 @@ def test_field_entry_forms(tmp_path):
     write_field(path, PeriodicGrid(1, 8), np.array(values))
     file_cfg = build_run_config({**base, "f": {"file": str(path)}})
     np.testing.assert_array_equal(file_cfg.f, np.array(values))
+
+
+def test_init_entries_accept_expression_strings():
+    cfg = get_preset("neg-k2-sine")
+    cfg["init"] = ["0.001*cos(2*pi*x_1)", "0"]
+    built = build_run_config(cfg)
+    cfg["init"] = [{"expr": "0.001*cos(2*pi*x_1)"}, {"expr": "0"}]
+    np.testing.assert_array_equal(built.init, build_run_config(cfg).init)
+    assert built.init[0].max() == pytest.approx(0.001, rel=1e-12)
+    assert built.f_spec == cfg["f"]
+    cfg["f"] = {"expr": cfg["f"]}
+    assert build_run_config(cfg).f_spec == "<data>"
+    cfg["init"] = ["cos(", "x_3"]
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    [first, second] = excinfo.value.violations
+    assert first.startswith("init_1: expression 'cos('")
+    assert second == "init_2: expression 'x_3': unknown name 'x_3'"

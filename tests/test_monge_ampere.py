@@ -220,6 +220,21 @@ def test_linearization_annihilates_constants():
     assert np.abs(out).max() <= 1e-12
 
 
+def test_linearization_refuses_positive_density_outside_the_cone():
+    # the two variant determinants can average to a positive density while
+    # one of them, or the diagonal entry, is negative somewhere
+    rng = np.random.default_rng(14)
+    g = PeriodicGrid(2, 8)
+    A = np.eye(2)
+    refused = 0
+    while refused < 5:
+        psi = rng.uniform(0.0, g.h**2) * rng.standard_normal(g.shape)
+        if ma_density(g, A, psi).min() > 0.0 and not is_admissible(g, A, psi):
+            with pytest.raises(NonAdmissible, match="non-admissible"):
+                log_ma_linearization(g, A, psi)
+            refused += 1
+
+
 def test_newton_step_vanishes_at_solution():
     geom = make_geom(N=16, a=1.5, f=np.full((16,), 1.5))
     psi, rep = solve_tke(geom, 0, np.zeros(16))
@@ -558,6 +573,40 @@ def test_non_admissible_warm_start_falls_back():
     assert rep.residual <= 1e-10
 
 
+def test_negative_sign_continuity_solve_is_the_cold_slice_solve():
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
+    gfield = 0.1 * np.cos(2 * np.pi * x)
+    psi, rep = continuity_solve(geom, 0, gfield)
+    cold_psi, cold = solve_tke(geom, 0, gfield)
+    np.testing.assert_array_equal(psi, cold_psi)
+    assert rep == cold
+    assert rep.continuity_trace == [(-1.0, rep.newton_iterations)]
+
+
+def test_warm_start_beyond_the_direct_budget_falls_back_to_zero():
+    # 0.5 (1 - d) x (1 - x) has density d everywhere but at x = 0.  Newton
+    # needs 27 steps from it with d = 1e-9, more than the 20 of the direct
+    # attempt, and 5 from zero.
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
+    warm = 0.5 * (1 - 1e-9) * x * (1 - x)
+    assert ma_density(g, geom.A[0], warm).min() < 1e-8
+    with pytest.raises(NoConvergence, match="after 20 iterations"):
+        monge_ampere._damped_newton(
+            g, geom.A[0], np.log(f), 0.25e-10, warm, 20, t=-1.0
+        )
+    psi, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
+    cold_psi, cold = solve_tke(geom, 0, np.zeros(32))
+    np.testing.assert_array_equal(psi, cold_psi)
+    assert rep.continuity_trace == [(-1.0, cold.newton_iterations)]
+    assert rep.residual <= 1e-10
+
+
 def test_random_densities_always_solve():
     # robustness contract: every positive f with log-oscillation <= 0.3
     rng = np.random.default_rng(10)
@@ -707,6 +756,23 @@ def test_warm_started_slice_builds_one_hessian_per_iterate(monkeypatch, lam):
     assert rep.newton_iterations > 0
     trials = sum(1 + round(-np.log2(a)) for a in rep.damping_factors)
     assert len(calls) == 1 + trials + 1
+
+
+@pytest.mark.parametrize("lam", [-1, 1])
+def test_every_slice_solve_ends_its_path_at_t_equal_lambda(lam):
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.05 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=lam, A=np.array([[[1.0]]]), f=f)
+    outside = 0.1 * np.cos(2 * np.pi * x)
+    assert not is_admissible(g, geom.A[0], outside)
+    psi, cold = solve_tke(geom, 0, np.zeros(32))
+    _, direct = solve_tke(geom, 0, np.zeros(32), warm_start=psi)
+    _, fallback = solve_tke(geom, 0, np.zeros(32), warm_start=outside)
+    assert direct.continuity_trace == [(lam, direct.newton_iterations)]
+    for rep in (cold, fallback):
+        assert rep.continuity_trace[0][0] == min(lam, 0)
+        assert rep.continuity_trace[-1][0] == lam
 
 
 def test_newton_budget_below_one_is_rejected():
