@@ -261,7 +261,7 @@ class EnergyLedger:
     def from_csv(cls, path) -> "EnergyLedger":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])  # an empty file has no header
             k = sum(1 for name in header if name.startswith("AM_"))
             ledger = cls(k)
             if header != ledger.columns:

@@ -45,17 +45,13 @@ _INNER_ERRORS = (NoConvergence, NonAdmissibleStep, ContinuityBreakdown, NonAdmis
 # Runs that need at most six sweeps keep their counts.
 ANDERSON_DEPTH = 8
 
-# Rounding slack and stagnation thresholds of check_monotone.
+# Rounding slack of check_monotone.
 _SLACK_COEF = 1e-9
-_STAGNATION_RES = 1e-3
-_STAGNATION_WINDOW = 3
 
 
 # The allowed values of each string setting of IterationConfig.
 _CHOICES = {
     "mode": ("gauss_seidel", "jacobi"),
-    "norm_mode": ("sup", "mean"),
-    "sweep_order": ("forward", "reverse"),
     "accel": ("anderson", "none"),
 }
 
@@ -75,13 +71,11 @@ class IterationConfig:
     """
 
     mode: str = "gauss_seidel"
-    norm_mode: str = "sup"
     tol_fixed_point: float = 1e-8
     tol_inner: float = 1e-10
     max_outer: int = 200
     max_newton: int = 40
     record_every: int = 1
-    sweep_order: str = "forward"
     accel: str = "anderson"
 
     def __post_init__(self):
@@ -137,13 +131,6 @@ class IterationState:
             return float("nan")
 
 
-def _class_order(k: int, sweep_order: str):
-    indices = list(range(k))
-    if sweep_order == "reverse":
-        indices.reverse()
-    return indices
-
-
 def _row_residual(terms) -> float:
     """cke_residual of the tuple whose ledger terms or row are ``terms``."""
     return max(v for name, v in terms.items() if name.startswith("rho_max_"))
@@ -161,14 +148,13 @@ def step_gauss_seidel(geom, psis, config: IterationConfig):
     current = previous.copy()
     partners = previous if config.mode == "jacobi" else current
     inner_iters = 0
-    for i in _class_order(geom.k, config.sweep_order):
+    for i in range(geom.k):
         g = partners.sum(axis=0) - partners[i]
         try:
             psi, report = solve_tke(
                 geom, i, g,
                 tol_inner=config.tol_inner,
                 max_newton=config.max_newton,
-                norm_mode=config.norm_mode,
                 warm_start=current[i],
             )
         except CoupledRicciError as exc:
@@ -245,18 +231,6 @@ class _Anderson:
         return ext
 
 
-def _to_gauge(psis, norm_mode: str) -> None:
-    """Shift each class in place into the ``norm_mode`` gauge.
-
-    D and the Ricci potentials do not change under per-class constants.
-    """
-    axes = tuple(range(1, psis.ndim))
-    if norm_mode == "sup":
-        psis -= psis.max(axis=axes, keepdims=True)
-    else:
-        psis -= psis.mean(axis=axes, keepdims=True)
-
-
 def _accelerate(state, history, x, gx, gx_terms):
     """The tuple an outer step takes from x, and its ledger terms: the
     extrapolated candidate if every class of it is admissible and its D
@@ -270,7 +244,8 @@ def _accelerate(state, history, x, gx, gx_terms):
     ext = history.extrapolate()
     if ext is None:
         return gx, gx_terms
-    _to_gauge(ext, state.config.norm_mode)
+    # back to sup 0 per class; D and the Ricci potentials do not change
+    ext -= ext.max(axis=tuple(range(1, ext.ndim)), keepdims=True)
     try:
         ext_terms = state.ledger.evaluate(state.geom, ext)
     except NonAdmissible:
@@ -293,7 +268,9 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     warm start, and no step-0 ledger row is written because the
     energies are undefined outside the cone.  Each tuple is evaluated
     once, by ``EnergyLedger.evaluate``, for the Anderson safeguard, the
-    stopping test and the ledger row; ``record_every`` only thins the rows.
+    stopping test and the ledger row; ``record_every`` only thins the rows,
+    and a run stopped by an inner failure still ends its ledger with the
+    row of the tuple it returns.
     A sweep that takes no Newton step while rho_max is above
     ``tol_fixed_point`` would repeat forever, so its row is written and
     the run stops as ``"stalled"``.
@@ -332,6 +309,8 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         )
 
     history = _Anderson() if config.accel == "anderson" else None
+    # (inner_iters, wall_ms) of the sweep that gave psis while its row is unwritten
+    unrecorded = None
     while terms is None or _row_residual(terms) > config.tol_fixed_point:
         if state.step == config.max_outer:
             state.reason = "max_outer"
@@ -343,6 +322,8 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         except _INNER_ERRORS as exc:
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"
             state.error = exc
+            if unrecorded is not None:
+                state.ledger.record_state(terms, state.step, *unrecorded)
             state.step = step
             break
         terms = state.ledger.evaluate(geom, swept)
@@ -353,11 +334,11 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         residual = _row_residual(terms)
         # a sweep without a Newton step maps the tuple to itself
         stalled = inner_iters == 0 and residual > config.tol_fixed_point
+        unrecorded = (inner_iters, (time.perf_counter() - t_step) * 1e3)
         if (step % config.record_every == 0 or step == config.max_outer
                 or stalled or residual <= config.tol_fixed_point):
-            wall = (time.perf_counter() - t_step) * 1e3
-            state.ledger.record_state(terms, step=step, inner_iters=inner_iters,
-                                      wall_ms=wall)
+            state.ledger.record_state(terms, step, *unrecorded)
+            unrecorded = None
         if stalled:
             state.reason = (
                 f"stalled: a sweep took no Newton step at rho_max "
@@ -385,7 +366,6 @@ class MonotoneReport:
     """Outcome of the Ding descent check over a ledger."""
 
     violations: list = field(default_factory=list)
-    stagnation_steps: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -396,31 +376,15 @@ def check_monotone(ledger: EnergyLedger) -> MonotoneReport:
     """Check that D descends along the ledger up to rounding slack.
 
     A transition from D_prev to D_next is a violation when
-    D_next > D_prev + _SLACK_COEF * (1 + |D_prev|).  Stagnation flags
-    _STAGNATION_WINDOW consecutive transitions that move D by less than
-    the slack while the residual is still far from converged (rho_max
-    above _STAGNATION_RES); that pattern usually means the inner solves
-    are not actually progressing.
+    D_next > D_prev + _SLACK_COEF * (1 + |D_prev|).
     """
     report = MonotoneReport()
     dvals = ledger.column("D")
     steps = ledger.column("step")
-    rho_cols = [name for name in ledger.columns if name.startswith("rho_max_")]
-    rho_max = np.max(
-        np.stack([ledger.column(name) for name in rho_cols]), axis=0
-    )
-    stagnant_run = 0
     for idx in range(1, len(dvals)):
         allowed = _SLACK_COEF * (1.0 + abs(dvals[idx - 1]))
-        increase = dvals[idx] - dvals[idx - 1]
-        if increase > allowed:
+        if dvals[idx] - dvals[idx - 1] > allowed:
             report.violations.append(
                 (int(steps[idx]), float(dvals[idx - 1]), float(dvals[idx]), allowed)
             )
-        if abs(increase) <= allowed and rho_max[idx] > _STAGNATION_RES:
-            stagnant_run += 1
-            if stagnant_run >= _STAGNATION_WINDOW:
-                report.stagnation_steps.append(int(steps[idx]))
-        else:
-            stagnant_run = 0
     return report

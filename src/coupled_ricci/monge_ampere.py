@@ -179,7 +179,6 @@ class SolveReport:
     t = lam; the ``residual_history`` holds the last rung only.
     """
 
-    newton_iterations: int = 0
     damping_factors: list = field(default_factory=list)
     residual: float = float("nan")
     continuity_trace: list = field(default_factory=list)
@@ -187,9 +186,13 @@ class SolveReport:
     c: float = float("nan")
     krylov_iterations: list = field(default_factory=list)
 
+    @property
+    def newton_iterations(self) -> int:
+        """Newton steps taken, one per damping factor."""
+        return len(self.damping_factors)
+
     def append_rung(self, t, rung: SolveReport) -> None:
         """Fold the report of the continuity rung at ``t`` into this one."""
-        self.newton_iterations += rung.newton_iterations
         self.damping_factors.extend(rung.damping_factors)
         self.krylov_iterations.extend(rung.krylov_iterations)
         self.residual_history = rung.residual_history
@@ -592,8 +595,8 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
         dampings.append(alpha)
         history.append(norm)
     report = SolveReport(
-        newton_iterations=len(dampings), damping_factors=dampings,
-        residual_history=history, krylov_iterations=krylov,
+        damping_factors=dampings, residual_history=history,
+        krylov_iterations=krylov,
     )
     return u, s, report
 
@@ -602,16 +605,11 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
 # public slice solvers
 
 
-def _finalize(geom, index, g, u, mode, tol_inner, report):
-    """Shift u into the gauge, recompute c and record the residual."""
+def _finalize(geom, index, g, u, tol_inner, report):
+    """Shift u to sup 0, recompute c and record the residual."""
     grid = geom.grid
     A = geom.A[index]
-    if mode == "sup":
-        psi = u - float(u.max())
-    elif mode == "mean":
-        psi = u - float(u.mean())
-    else:
-        raise ValueError(f"unknown norm_mode {mode!r}")
+    psi = u - float(u.max())
     dens = ma_density(grid, A, psi)
     weight = np.exp(-geom.lam * (psi + g)) * geom.f
     c = grid.integrate(dens) / grid.integrate(weight)
@@ -628,7 +626,7 @@ def _finalize(geom, index, g, u, mode, tol_inner, report):
     return psi, report
 
 
-def _follow_path(geom, index, g, start, t, tol_inner, max_newton, norm_mode):
+def _follow_path(geom, index, g, start, t, tol_inner, max_newton):
     """Solve the rung at ``t`` from ``start``, then walk the rungs to t = lam.
 
     The right-hand side stays fixed and only the zeroth-order coefficient
@@ -679,11 +677,11 @@ def _follow_path(geom, index, g, start, t, tol_inner, max_newton, norm_mode):
         t_cur = t_try
         report.append_rung(t_try, rung)
         dt = min(dt * 2.0, 0.25)
-    return _finalize(geom, index, g, phi, norm_mode, tol_inner, report)
+    return _finalize(geom, index, g, phi, tol_inner, report)
 
 
 def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
-              norm_mode="sup", warm_start=None):
+              warm_start=None):
     """Solve one twisted slice equation for class ``index``.
 
     The equation in the density form is
@@ -696,13 +694,13 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     one direct attempt at t = lam of at most min(max_newton, 20) Newton
     steps; if it lies outside the cone or that attempt fails, the slice
     is solved from zero by :func:`continuity_solve`.  Returns
-    (psi, SolveReport).
+    (psi, SolveReport), psi shifted to max psi = 0.
     """
     if warm_start is not None:
         try:
             return _follow_path(
                 geom, index, g, warm_start, geom.lam, tol_inner,
-                min(max_newton, 20), norm_mode,
+                min(max_newton, 20),
             )
         except (NonAdmissible, NoConvergence, NonAdmissibleStep):
             logger.debug(
@@ -711,13 +709,11 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
                 index + 1,
             )
     return continuity_solve(
-        geom, index, g,
-        tol_inner=tol_inner, max_newton=max_newton, norm_mode=norm_mode,
+        geom, index, g, tol_inner=tol_inner, max_newton=max_newton
     )
 
 
-def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
-                     norm_mode="sup"):
+def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40):
     """Solve the slice equation from zero along the parameter path in t.
 
     The path starts at t = min(lam, 0) and ends at t = lam: for lam = -1
@@ -727,5 +723,5 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     """
     return _follow_path(
         geom, index, g, np.zeros(geom.grid.shape), min(geom.lam, 0),
-        tol_inner, max_newton, norm_mode,
+        tol_inner, max_newton,
     )

@@ -186,7 +186,7 @@ def test_oracle_config_keeps_the_accel_key():
 
 def test_oracle_config_keeps_every_iteration_setting():
     cfg = get_preset("neg-k2-sine")
-    cfg.update(sweep_order="reverse", max_newton=3, record_every=5)
+    cfg.update(max_newton=3, record_every=5)
     fine = build_run_config(cfg)
     coarse = _downsample_config(fine)
     assert coarse.N == 8
@@ -299,6 +299,16 @@ def test_seed_key_is_unknown():
     with pytest.raises(ValidationError) as excinfo:
         build_run_config(cfg)
     assert excinfo.value.violations == ["unknown keys: seed"]
+
+
+def test_removed_iteration_settings_are_unknown_keys():
+    # psi is always in the sup gauge and the classes are swept in the
+    # order given
+    cfg = get_preset("neg-k2-sine")
+    cfg.update(norm_mode="sup", sweep_order="forward")
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == ["unknown keys: norm_mode, sweep_order"]
 
 
 @pytest.mark.parametrize("key", ["n", "k", "lambda", "cri_config"])

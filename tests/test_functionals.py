@@ -323,6 +323,14 @@ def test_ledger_rejects_a_row_of_the_wrong_length(tmp_path, cut):
     assert str(err.value).startswith(f"{path}: line {len(lines)} has ")
 
 
+def test_ledger_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "ledger.csv"
+    path.write_text("")
+    with pytest.raises(ValueError) as err:
+        EnergyLedger.from_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_ledger_header_line(tmp_path):
     geom = sine_geom(N=16)
     state = run(geom)
