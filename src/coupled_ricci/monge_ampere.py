@@ -693,10 +693,11 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     identity before the final residual is recorded.  A warm start gets
     one direct attempt at t = lam of at most min(max_newton, 20) Newton
     steps; if it lies outside the cone or that attempt fails, the slice
-    is solved from zero by :func:`continuity_solve`.  Returns
-    (psi, SolveReport), psi shifted to max psi = 0.
+    is solved from zero by :func:`continuity_solve`.  For lam = -1 an
+    all-zero warm start is where that solve starts, so it goes there at
+    once.  Returns (psi, SolveReport), psi shifted to max psi = 0.
     """
-    if warm_start is not None:
+    if warm_start is not None and (geom.lam == 1 or np.any(warm_start)):
         try:
             return _follow_path(
                 geom, index, g, warm_start, geom.lam, tol_inner,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from coupled_ricci import monge_ampere
 from coupled_ricci.cli import _downsample_config, main
 from coupled_ricci.config import build_run_config
 from coupled_ricci.errors import ValidationError
@@ -155,6 +156,55 @@ def test_run_exit_three_on_inner_breakdown(tmp_path, capsys):
     assert summary["converged"] is False
     # the final tuple may be outside the cone, giving an undefined residual
     assert summary["final_rho_max"] is None or summary["final_rho_max"] >= 0
+
+
+# 1-d, k = 2, A = 1 problems whose exact slice solves from zero hit the
+# rounding floor of the Newton residual in the first sweep
+_FLOOR_PROBES = {
+    "n512-steep-f": {**get_preset("neg-k2-sine"), "N": 512,
+                     "f": "1 + 0.99*sin(2*pi*x_1)"},
+    "n2048-tol-1e-13": {**get_preset("neg-k2-sine"), "N": 2048,
+                        "tol_inner": 1e-13},
+}
+
+
+def _run_probe(tmp_path, name, **settings):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**_FLOOR_PROBES[name], **settings}))
+    out = tmp_path / "out"
+    code = run_cli(["run", str(path), "--out", str(out)])
+    return code, json.loads((out / "summary.json").read_text()), out
+
+
+@pytest.mark.parametrize("name", sorted(_FLOOR_PROBES))
+def test_floor_probes_converge_with_inexact_sweeps(tmp_path, name):
+    code, summary, out = _run_probe(tmp_path, name)
+    assert code == 0
+    assert summary["converged"] is True
+    assert summary["steps"] == 3
+    assert summary["final_rho_max"] <= 1e-8
+    dvals = [float(line.split()[1])
+             for line in (out / "ding.dat").read_text().splitlines()[1:]]
+    assert all(b <= a + 1e-9 * (1 + abs(a)) for a, b in zip(dvals, dvals[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(_FLOOR_PROBES))
+def test_floor_probes_still_fail_the_exact_iteration(tmp_path, monkeypatch, name):
+    newton_calls = []
+    damped_newton = monge_ampere._damped_newton
+    monkeypatch.setattr(
+        monge_ampere, "_damped_newton",
+        lambda *args, **kwargs: newton_calls.append(1)
+        or damped_newton(*args, **kwargs),
+    )
+    code, summary, _ = _run_probe(tmp_path, name, accel="none")
+    assert code == 3
+    assert summary["reason"] == (
+        "inner_failure: NoConvergence: Newton line search failed to reduce "
+        "the residual"
+    )
+    # the zero warm start of the first sweep goes straight to the path
+    assert len(newton_calls) == 1
 
 
 def test_stiff_preset_needs_the_outer_acceleration(tmp_path):

@@ -607,6 +607,28 @@ def test_warm_start_beyond_the_direct_budget_falls_back_to_zero():
     assert rep.residual <= 1e-10
 
 
+def test_negative_sign_zero_warm_start_is_the_cold_slice_solve(monkeypatch):
+    # the direct attempt from zero would repeat the rung of continuity_solve
+    # with half its Newton budget
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
+    gfield = 0.1 * np.cos(2 * np.pi * x)
+    budgets = []
+    damped_newton = monge_ampere._damped_newton
+    monkeypatch.setattr(
+        monge_ampere, "_damped_newton",
+        lambda *args, **kwargs: budgets.append(args[5])
+        or damped_newton(*args, **kwargs),
+    )
+    psi, rep = solve_tke(geom, 0, gfield, warm_start=np.zeros(32))
+    cold_psi, cold = solve_tke(geom, 0, gfield)
+    np.testing.assert_array_equal(psi, cold_psi)
+    assert rep == cold
+    assert budgets == [40, 40]
+
+
 def test_random_densities_always_solve():
     # robustness contract: every positive f with log-oscillation <= 0.3
     rng = np.random.default_rng(10)
