@@ -39,17 +39,26 @@ def _mixed_with_background(A, hess):
     )
 
 
-def _class_terms(grid, A, psi, hess, what):
+def cone_state(grid, A, psi):
+    """(Hessian, ma_density) of one potential; the density is None
+    outside the cone."""
+    hess = hessian(grid, psi)
+    return hess, _cone_density(grid, np.asarray(A, dtype=float), hess)
+
+
+def _class_terms(grid, A, psi, hess, what, dens=None):
     """(density, AM, I, J) of one class from one Hessian, built if None.
 
-    The density is cone-checked: outside the cone NonAdmissible names
+    ``dens`` may pass the density of an admissible ``hess``; otherwise the
+    density is cone-checked, and outside the cone NonAdmissible names
     ``what``.
     """
     A = np.asarray(A, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if hess is None:
         hess = hessian(grid, psi)
-    dens = _admissible_density(grid, A, hess, what)
+    if dens is None:
+        dens = _admissible_density(grid, A, hess, what)
     det_a = float(np.linalg.det(A))
     if grid.n == 1:
         integrand = 0.5 * psi * (det_a + dens)
@@ -105,7 +114,9 @@ def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarr
     rho_i = log( V_i * exp(-lam * sum psi) * f / (Z * ma_density_i) )
     with Z the integral of exp(-lam * sum psi) * f.  By construction
     integrate(exp(rho_i) * ma_density_i) = V_i exactly.  ``densities``
-    may pass the cone-checked class densities of ``psis``.
+    may pass the cone-checked class densities of ``psis``; a class whose
+    entry is None (outside the cone) gets a row of NaN, while its
+    potential still enters the weight.
     """
     psis = np.asarray(psis, dtype=float)
     grid = geom.grid
@@ -120,7 +131,10 @@ def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarr
     vols = geom.volumes
     rhos = np.empty_like(psis)
     for i, dens in enumerate(densities):
-        rhos[i] = np.log(vols[i]) + log_weight - np.log(z) - np.log(dens)
+        if dens is None:
+            rhos[i] = np.nan
+        else:
+            rhos[i] = np.log(vols[i]) + log_weight - np.log(z) - np.log(dens)
     return rhos
 
 
@@ -200,20 +214,25 @@ class EnergyLedger:
         )
         self.rows: list = []
 
-    def evaluate(self, geom, psis) -> dict:
+    def evaluate(self, geom, psis, states=None) -> dict:
         """Every column but step, inner_iters and wall_ms at one tuple.
 
-        Builds one Hessian and one cone-checked density per class; raises
-        NonAdmissible outside the cone.
+        Builds one Hessian and one cone-checked density per class, unless
+        ``states`` passes each class's (Hessian, density or None) as
+        :func:`cone_state` gives them; raises NonAdmissible outside the
+        cone.
         """
         psis = np.asarray(psis, dtype=float)
         grid = geom.grid
         dens = [None] * geom.k
         am, ivals, jvals, osc, eq_ratio = np.empty((5, geom.k))
         for i, (A, psi) in enumerate(zip(geom.A, psis)):
-            hess = hessian(grid, psi)
+            if states is None:
+                hess, known = hessian(grid, psi), None
+            else:
+                hess, known = states[i]
             dens[i], am[i], ivals[i], jvals[i] = _class_terms(
-                grid, A, psi, hess, "the ledger"
+                grid, A, psi, hess, "the ledger", known
             )
             osc[i] = psi.max() - psi.min()
             eq_ratio[i] = _equivalence_ratio(grid, A, hess)

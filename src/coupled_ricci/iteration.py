@@ -29,8 +29,8 @@ from .errors import (
     NonAdmissibleStep,
     ValidationError,
 )
-from .functionals import EnergyLedger, cke_residual
-from .monge_ampere import BackgroundGeometry, is_admissible, solve_tke
+from .functionals import EnergyLedger, cke_residual, cone_state, ricci_potentials
+from .monge_ampere import BackgroundGeometry, solve_tke
 
 logger = logging.getLogger(__name__)
 
@@ -273,6 +273,35 @@ def _accelerate(state, history, x, gx, gx_terms):
     return gx, gx_terms
 
 
+def _start(state):
+    """Ledger terms and rho_max of the initial tuple, from one Hessian and
+    one cone-checked density per class.
+
+    When a class is outside the cone the terms are None, and rho_max is
+    taken over the classes inside it, every class still entering the
+    coupling weight; with no class inside, it is None too.
+    """
+    geom, psis = state.geom, state.psis
+    states = [cone_state(geom.grid, A, psi) for A, psi in zip(geom.A, psis)]
+    densities = [dens for _, dens in states]
+    inside = [dens is not None for dens in densities]
+    if all(inside):
+        terms = state.ledger.evaluate(geom, psis, states)
+        return terms, _row_residual(terms)
+    logger.warning(
+        "initial potentials for classes %s are outside the positivity "
+        "cone; they are used for coupling only and the step-0 ledger "
+        "row is skipped",
+        [i + 1 for i, ok in enumerate(inside) if not ok],
+    )
+    if not any(inside):
+        return None, None
+    rhos = ricci_potentials(geom, psis, densities)
+    return None, max(
+        float(np.abs(rho).max()) for rho, ok in zip(rhos, inside) if ok
+    )
+
+
 def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         init=None) -> IterationState:
     """Iterate the coupled system until the Ricci potentials vanish.
@@ -288,10 +317,13 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     row of the tuple it returns.
     With ``accel="anderson"`` the sweep from x solves its slices to
     max(tol_inner, INNER_TOL_RATIO * rho_max(x)), rho_max(x) read from the
-    terms of x, so ``tol_inner`` is the floor of that schedule; a first
-    sweep from a non-admissible start, and every sweep with
-    ``accel="none"``, solves to ``tol_inner``.  The stopping test is
-    rho_max <= ``tol_fixed_point`` on the tuple taken.
+    terms of x, so ``tol_inner`` is the floor of that schedule.  From a
+    start with classes outside the cone, rho_max(x) is the largest sup
+    |rho_i(x)| over the classes inside it, rho_i the Ricci potential
+    whose coupling weight sums every class; a start with no class inside
+    the cone, and every sweep with ``accel="none"``, solves to
+    ``tol_inner``.  The stopping test is rho_max <= ``tol_fixed_point``
+    on the tuple taken.
     A sweep that takes no Newton step while rho_max is above
     ``tol_fixed_point`` would repeat forever, so its row is written and
     the run stops as ``"stalled"``.
@@ -310,37 +342,27 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         if not np.all(np.isfinite(psis)):
             raise ValueError("init contains non-finite values")
 
-    admissible = [is_admissible(grid, geom.A[i], psis[i]) for i in range(geom.k)]
     state = IterationState(
         geom=geom, config=config, psis=psis, ledger=EnergyLedger(geom.k)
     )
 
     t_start = time.perf_counter()
-    terms = None
-    if all(admissible):
-        terms = state.ledger.evaluate(geom, psis)
+    terms, residual = _start(state)
+    if terms is not None:
         state.ledger.record_state(terms, step=0, inner_iters=0, wall_ms=0.0)
-    else:
-        bad = [i + 1 for i, ok in enumerate(admissible) if not ok]
-        logger.warning(
-            "initial potentials for classes %s are outside the positivity "
-            "cone; they are used for coupling only and the step-0 ledger "
-            "row is skipped",
-            bad,
-        )
 
     history = _Anderson() if config.accel == "anderson" else None
     # (inner_iters, wall_ms) of the sweep that gave psis while its row is unwritten
     unrecorded = None
-    while terms is None or _row_residual(terms) > config.tol_fixed_point:
+    while terms is None or residual > config.tol_fixed_point:
         if state.step == config.max_outer:
             state.reason = "max_outer"
             break
         step = state.step + 1
         t_step = time.perf_counter()
         tol_inner = config.tol_inner
-        if history is not None and terms is not None:
-            tol_inner = max(tol_inner, INNER_TOL_RATIO * _row_residual(terms))
+        if history is not None and residual is not None:
+            tol_inner = max(tol_inner, INNER_TOL_RATIO * residual)
         try:
             swept, inner_iters = step_gauss_seidel(geom, psis, config, tol_inner)
         except _INNER_ERRORS as exc:

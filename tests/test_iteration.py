@@ -13,6 +13,7 @@ from coupled_ricci import (
     PeriodicGrid,
     check_monotone,
     hessian,
+    ma_density,
     run,
     step_gauss_seidel,
 )
@@ -426,6 +427,72 @@ def test_first_sweep_from_a_non_admissible_start_solves_to_tol_inner(monkeypatch
     assert rows[0]["step"] == 1
     assert tols[2:] == [max(1e-10, INNER_TOL_RATIO * _row_residual(row))
                         for row in rows[:-1] for _ in range(2)]
+
+
+def test_first_sweep_from_a_partly_admissible_start_uses_the_classes_inside(
+        monkeypatch):
+    tols = _recorded_tolerances(monkeypatch)
+    geom = sine_geom(N=64)
+    x = geom.grid.coords()[0]
+    # class 1 is outside the cone (1 - 0.4 pi^2 cos < 0 somewhere), class 2 inside
+    init = np.stack([0.1 * np.cos(2 * np.pi * x), 0.01 * np.cos(2 * np.pi * x)])
+    state = run(geom, init=init)
+    assert state.converged
+    # rho_2 of the ricci_potentials formula, its weight summing both classes
+    weight = np.exp(init.sum(axis=0)) * geom.f
+    rho_2 = (np.log(geom.volumes[1]) + np.log(weight)
+             - np.log(geom.grid.integrate(weight))
+             - np.log(ma_density(geom.grid, geom.A[1], init[1])))
+    first = INNER_TOL_RATIO * np.abs(rho_2).max()
+    assert first > 1e-3
+    assert tols[:2] == pytest.approx([first, first], rel=1e-12, abs=0.0)
+    rows = state.ledger.rows
+    assert rows[0]["step"] == 1
+    assert tols[2:] == [max(1e-10, INNER_TOL_RATIO * _row_residual(row))
+                        for row in rows[:-1] for _ in range(2)]
+
+
+def test_plain_sweeps_from_a_partly_admissible_start_solve_to_tol_inner(
+        monkeypatch):
+    tols = _recorded_tolerances(monkeypatch)
+    geom = sine_geom(N=64)
+    x = geom.grid.coords()[0]
+    init = np.stack([0.1 * np.cos(2 * np.pi * x), 0.01 * np.cos(2 * np.pi * x)])
+    state = run(geom, IterationConfig(accel="none"), init=init)
+    assert state.converged
+    assert tols == [1e-10] * (2 * state.step)
+
+
+# The pos2d-n48 benchmark workload at seed 0, written out: lambda = +1 with
+# class 1 starting outside the cone and class 2 at zero.
+_POS2D_N48 = {
+    "cri_config": 1, "lambda": 1, "n": 2, "N": 48, "k": 2,
+    "A": [[[15.0, 0.0], [0.0, 15.0]], [[30.0, 7.5], [7.5, 15.0]]],
+    "f": "1 + 0.5*sin(2*pi*x_1)*cos(2*pi*x_2)",
+    "init": [{"expr": "cos(2*pi*x_1)"}, {"expr": "0"}],
+}
+
+
+def test_lambda_plus_one_start_outside_the_cone_keeps_its_sweeps(monkeypatch):
+    tols = _recorded_tolerances(monkeypatch)
+    solve = iteration.solve_tke
+    newton, krylov = [], []
+
+    def counting(*args, **kwargs):
+        psi, report = solve(*args, **kwargs)
+        newton.append(report.newton_iterations)
+        krylov.append(sum(report.krylov_iterations))
+        return psi, report
+
+    monkeypatch.setattr(iteration, "solve_tke", counting)
+    cfg = build_run_config(_POS2D_N48)
+    state = run(cfg.geometry(), cfg.iteration, init=cfg.init)
+    assert state.converged and state.monotone_report.ok
+    # rho_2 at the start is 1.392, so the first sweep solves to 1.39e-2
+    assert tols[0] == pytest.approx(1.3922e-2, rel=1e-4)
+    assert state.step == 6
+    assert sum(newton) <= 25
+    assert sum(krylov) <= 119
 
 
 # Newton steps of each converging preset with exact sweeps.  pos-k2-steep
