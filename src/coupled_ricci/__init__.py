@@ -6,7 +6,6 @@ from .functionals import (
     EnergyLedger,
     am_energy,
     cke_residual,
-    diagnostics,
     ding,
     ding_first_variation,
     i_functional,
@@ -65,7 +64,6 @@ __all__ = [
     "cke_residual",
     "continuity_solve",
     "dense_newton",
-    "diagnostics",
     "ding",
     "ding_first_variation",
     "errors",

@@ -183,15 +183,6 @@ def _equivalence_ratio(grid, A, hess) -> float:
     return float(lam_hi.max() / lam_lo.min())
 
 
-def diagnostics(geom: BackgroundGeometry, psis) -> dict:
-    """Per-class oscillation and metric-equivalence ratios."""
-    terms = EnergyLedger(geom.k).evaluate(geom, psis)
-    return {
-        key: np.array([terms[f"{column}_{i + 1}"] for i in range(geom.k)])
-        for key, column in (("osc", "osc"), ("eq_ratio", "eqratio"))
-    }
-
-
 # ---------------------------------------------------------------------------
 # run ledger
 

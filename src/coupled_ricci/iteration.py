@@ -29,7 +29,12 @@ from .errors import (
     NonAdmissibleStep,
     ValidationError,
 )
-from .functionals import EnergyLedger, cke_residual, cone_state, ricci_potentials
+from .functionals import (  # noqa: F401  perfbench/tracer.py wraps cke_residual here
+    EnergyLedger,
+    cke_residual,
+    cone_state,
+    ricci_potentials,
+)
 from .monge_ampere import BackgroundGeometry, solve_tke
 
 logger = logging.getLogger(__name__)
@@ -52,6 +57,9 @@ ANDERSON_DEPTH = 8
 #   gs2d-n128   (2-d, N = 128)                    14 / 64  ->  8 / 27
 #   stiff1d-n64 (1-d, A ~ 1e3, N = 64)            44 / 125 -> 22 / 54
 #   pos2d-n48   (2-d, lam = +1, N = 48)           48 / 302 -> 39 / 215
+# pos2d-n48 starts with class 1 outside the cone; its first sweep solving
+# to INNER_TOL_RATIO * 1.392 (the classes inside the cone, see run) instead
+# of tol_inner:                                   39 / 215 -> 25 / 119
 # The sweep counts stay at 3, 11 and 6.
 INNER_TOL_RATIO = 1e-2
 
@@ -137,10 +145,12 @@ class IterationState:
 
     @property
     def final_rho_max(self) -> float:
-        try:
-            return cke_residual(self.geom, self.psis)
-        except NonAdmissible:
+        """rho_max of the tuple returned, read from the ledger's last row,
+        which is that tuple's; NaN when the ledger is empty (the tuple
+        returned is a start outside the cone)."""
+        if self.ledger is None or not self.ledger.rows:
             return float("nan")
+        return _row_residual(self.ledger.rows[-1])
 
 
 def _row_residual(terms) -> float:
@@ -159,10 +169,17 @@ def step_gauss_seidel(geom, psis, config: IterationConfig, tol_inner=None):
     """
     if tol_inner is None:
         tol_inner = config.tol_inner
+    return _sweep(geom, psis, config, tol_inner)[:2]
+
+
+def _sweep(geom, psis, config, tol_inner):
+    """:func:`step_gauss_seidel`, also returning each new class field's
+    (Hessian, density) from its slice solve."""
     previous = np.asarray(psis, dtype=float)
     current = previous.copy()
     partners = previous if config.mode == "jacobi" else current
     inner_iters = 0
+    states = []
     for i in range(geom.k):
         g = partners.sum(axis=0) - partners[i]
         try:
@@ -177,7 +194,8 @@ def step_gauss_seidel(geom, psis, config: IterationConfig, tol_inner=None):
             raise
         current[i] = psi
         inner_iters += report.newton_iterations
-    return current, inner_iters
+        states.append((report.hessian, report.density))
+    return current, inner_iters, states
 
 
 class _Anderson:
@@ -312,9 +330,12 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     warm start, and no step-0 ledger row is written because the
     energies are undefined outside the cone.  Each tuple is evaluated
     once, by ``EnergyLedger.evaluate``, for the Anderson safeguard, the
-    stopping test and the ledger row; ``record_every`` only thins the rows,
-    and a run stopped by an inner failure still ends its ledger with the
-    row of the tuple it returns.
+    stopping test and the ledger row: the start from one Hessian per
+    class, which also gives its cone test, and a sweep output from the
+    Hessians and densities its slice solves end with.  ``record_every``
+    only thins the rows: the ledger always ends with the row of the tuple
+    returned, which ``final_rho_max`` reads, unless that tuple is a start
+    outside the cone.
     With ``accel="anderson"`` the sweep from x solves its slices to
     max(tol_inner, INNER_TOL_RATIO * rho_max(x)), rho_max(x) read from the
     terms of x, so ``tol_inner`` is the floor of that schedule.  From a
@@ -364,7 +385,7 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         if history is not None and residual is not None:
             tol_inner = max(tol_inner, INNER_TOL_RATIO * residual)
         try:
-            swept, inner_iters = step_gauss_seidel(geom, psis, config, tol_inner)
+            swept, inner_iters, states = _sweep(geom, psis, config, tol_inner)
         except _INNER_ERRORS as exc:
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"
             state.error = exc
@@ -372,7 +393,8 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
                 state.ledger.record_state(terms, state.step, *unrecorded)
             state.step = step
             break
-        terms = state.ledger.evaluate(geom, swept)
+        terms = state.ledger.evaluate(geom, swept, states)
+        del states  # the Hessians are not held through the next sweep
         if history is not None:
             swept, terms = _accelerate(state, history, psis, swept, terms)
         psis = state.psis = swept

@@ -177,6 +177,10 @@ class SolveReport:
     two lists and ``newton_iterations`` span all rungs of the path in t,
     and ``continuity_trace`` lists (t, Newton steps) per rung, the last at
     t = lam; the ``residual_history`` holds the last rung only.
+    ``hessian`` and ``density`` are the Hessian and ma_density of the final
+    Newton iterate, as of the last rung; the shift to sup 0 changes them
+    only by rounding, so they serve as those of the returned psi.  Report
+    equality leaves them out.
     """
 
     damping_factors: list = field(default_factory=list)
@@ -185,6 +189,8 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     c: float = float("nan")
     krylov_iterations: list = field(default_factory=list)
+    hessian: HessianField | None = field(default=None, compare=False, repr=False)
+    density: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def newton_iterations(self) -> int:
@@ -196,6 +202,7 @@ class SolveReport:
         self.damping_factors.extend(rung.damping_factors)
         self.krylov_iterations.extend(rung.krylov_iterations)
         self.residual_history = rung.residual_history
+        self.hessian, self.density = rung.hessian, rung.density
         self.continuity_trace.append((t, rung.newton_iterations))
 
 
@@ -558,7 +565,7 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
     t = -1 is the lam=-1 slice equation, s its compatibility constant;
     t in [0, 1] are the rungs of the lam=+1 continuity path.  Raises
     NonAdmissible when ``phi0`` is outside the cone.  Returns
-    (u, s, SolveReport).
+    (u, s, SolveReport), the report holding the Hessian and density of u.
     """
     if max_newton < 1:
         raise ValueError(f"max_newton must be at least 1, got {max_newton}")
@@ -596,7 +603,7 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
         history.append(norm)
     report = SolveReport(
         damping_factors=dampings, residual_history=history,
-        krylov_iterations=krylov,
+        krylov_iterations=krylov, hessian=hess, density=dens,
     )
     return u, s, report
 
@@ -605,12 +612,14 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
 # public slice solvers
 
 
-def _finalize(geom, index, g, u, tol_inner, report):
-    """Shift u to sup 0, recompute c and record the residual."""
+def _finalize(geom, g, u, tol_inner, report):
+    """Shift u to sup 0, recompute c and record the residual.
+
+    The density is the report's, that of the final Newton iterate u.
+    """
     grid = geom.grid
-    A = geom.A[index]
     psi = u - float(u.max())
-    dens = ma_density(grid, A, psi)
+    dens = report.density
     weight = np.exp(-geom.lam * (psi + g)) * geom.f
     c = grid.integrate(dens) / grid.integrate(weight)
     residual = float(
@@ -677,7 +686,7 @@ def _follow_path(geom, index, g, start, t, tol_inner, max_newton):
         t_cur = t_try
         report.append_rung(t_try, rung)
         dt = min(dt * 2.0, 0.25)
-    return _finalize(geom, index, g, phi, tol_inner, report)
+    return _finalize(geom, g, phi, tol_inner, report)
 
 
 def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,

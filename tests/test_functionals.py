@@ -8,7 +8,6 @@ from coupled_ricci import (
     PeriodicGrid,
     am_energy,
     cke_residual,
-    diagnostics,
     ding,
     ding_first_variation,
     hessian,
@@ -222,12 +221,35 @@ def test_first_variation_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
+# diagnostics: the ledger's osc and eqratio columns
+
+
+def diagnostics(geom, psis):
+    """Per-class oscillation and metric-equivalence ratio, the ratio from a
+    dense eigen-solve of (A + D^2 psi, A) at every point, with the centered
+    mixed entry."""
+    out = {"osc": [], "eq_ratio": []}
+    for A, psi in zip(geom.A, psis):
+        chol_inv = np.linalg.inv(np.linalg.cholesky(A))
+        metric = A + hessian(geom.grid, psi).matrix()
+        eig = np.linalg.eigvalsh(chol_inv @ metric @ chol_inv.T)
+        out["osc"].append(psi.max() - psi.min())
+        out["eq_ratio"].append(eig.max() / eig.min())
+    return {key: np.array(values) for key, values in out.items()}
+
+
+def ledger_diagnostics(geom, psis):
+    """The osc and eqratio columns of EnergyLedger.evaluate, per class."""
+    terms = EnergyLedger(geom.k).evaluate(geom, psis)
+    return {
+        key: np.array([terms[f"{column}_{i + 1}"] for i in range(geom.k)])
+        for key, column in (("osc", "osc"), ("eq_ratio", "eqratio"))
+    }
 
 
 def test_diagnostics_at_zero():
     geom = sine_geom()
-    out = diagnostics(geom, np.zeros((2,) + geom.grid.shape))
+    out = ledger_diagnostics(geom, np.zeros((2,) + geom.grid.shape))
     np.testing.assert_allclose(out["osc"], 0.0)
     np.testing.assert_allclose(out["eq_ratio"], 1.0)
 
@@ -238,8 +260,11 @@ def test_diagnostics_ratio_bounds():
     A = np.array([[[1.5, 0.3], [0.3, 1.0]]])
     geom = BackgroundGeometry(grid=grid, lam=-1, A=A, f=np.ones(grid.shape))
     psi = random_admissible(grid, A[0], rng)
-    out = diagnostics(geom, psi[None])
+    out = ledger_diagnostics(geom, psi[None])
     assert out["eq_ratio"][0] >= 1.0
+    assert out["eq_ratio"][0] == pytest.approx(
+        diagnostics(geom, psi[None])["eq_ratio"][0], rel=1e-12
+    )
     assert out["osc"][0] == pytest.approx(psi.max() - psi.min())
 
 
@@ -280,7 +305,9 @@ def test_ledger_evaluate_matches_the_single_functionals(monkeypatch):
         assert terms[f"J_{i + 1}"] == j_functional(grid, A[i], psis[i])
         assert terms[f"rho_max_{i + 1}"] == np.abs(rhos[i]).max()
         assert terms[f"osc_{i + 1}"] == out["osc"][i]
-        assert terms[f"eqratio_{i + 1}"] == out["eq_ratio"][i]
+        assert terms[f"eqratio_{i + 1}"] == pytest.approx(
+            out["eq_ratio"][i], rel=1e-12
+        )
     assert terms["L"] == l_functional(geom, psis)
     assert terms["D"] == pytest.approx(ding(geom, psis), rel=1e-14, abs=0.0)
     psis[1] = 0.5 * np.cos(2 * np.pi * grid.coords()[1])

@@ -755,8 +755,9 @@ def test_positive_sign_direct_solve_respects_newton_budget():
 
 @pytest.mark.parametrize("lam", [-1, 1])
 def test_warm_started_slice_builds_one_hessian_per_iterate(monkeypatch, lam):
-    # one Hessian for the start, one per line-search trial and one for the
-    # normalized psi; for lam = +1 the direct attempt succeeds
+    # one Hessian for the start and one per line-search trial; the
+    # normalized psi takes the last trial's; for lam = +1 the direct
+    # attempt succeeds
     g = PeriodicGrid(1, 32)
     x = g.coords()[0]
     f = 1 + 0.05 * np.sin(2 * np.pi * x)
@@ -775,7 +776,33 @@ def test_warm_started_slice_builds_one_hessian_per_iterate(monkeypatch, lam):
         assert rep.continuity_trace == [(1.0, rep.newton_iterations)]
     assert rep.newton_iterations > 0
     trials = sum(1 + round(-np.log2(a)) for a in rep.damping_factors)
-    assert len(calls) == 1 + trials + 1
+    assert len(calls) == 1 + trials
+
+
+@pytest.mark.parametrize("lam", [-1, 1])
+def test_slice_report_carries_the_hessian_and_density_of_psi(lam):
+    # the final Newton iterate differs from psi by a constant, so its
+    # Hessian, density, c and residual are psi's up to rounding
+    grid = PeriodicGrid(2, 16)
+    x, y = grid.coords()
+    f = 1 + 0.3 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    A = np.array([[[2.0, 0.5], [0.5, 1.0]]])
+    geom = BackgroundGeometry(grid=grid, lam=lam, A=A, f=f)
+    g = 0.01 * np.cos(2 * np.pi * y)
+    psi, rep = solve_tke(geom, 0, g, tol_inner=1e-10)
+    hess = hessian(grid, psi)
+    for got, want in ((rep.hessian.diag, hess.diag),
+                      (rep.hessian.mixed_plus, hess.mixed_plus),
+                      (rep.hessian.mixed_minus, hess.mixed_minus)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 / grid.h**2)
+    dens = ma_density(grid, A[0], psi)
+    np.testing.assert_allclose(rep.density, dens, rtol=1e-12)
+    weight = np.exp(-lam * (psi + g)) * f
+    c = grid.integrate(dens) / grid.integrate(weight)
+    residual = np.abs(np.log(dens / c) + lam * (psi + g) - np.log(f)).max()
+    assert rep.c == pytest.approx(c, rel=1e-12)
+    assert rep.residual == pytest.approx(residual, rel=0, abs=1e-12)
+    assert rep.residual <= 1e-10
 
 
 @pytest.mark.parametrize("lam", [-1, 1])
