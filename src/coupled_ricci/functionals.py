@@ -163,6 +163,15 @@ def ding_first_variation(geom: BackgroundGeometry, psis, deltas) -> float:
     return total
 
 
+def class_columns(grid, A, psi, hess, dens=None):
+    """(density, AM, I, J, osc, eqratio) of one class for the ledger, from
+    its Hessian and, when known, its density; NonAdmissible outside the
+    cone."""
+    dens, am, i_val, j_val = _class_terms(grid, A, psi, hess, "the ledger", dens)
+    return (dens, am, i_val, j_val, psi.max() - psi.min(),
+            _equivalence_ratio(grid, A, hess))
+
+
 def _equivalence_ratio(grid, A, hess) -> float:
     """Spread of the generalized eigenvalues of (A + D^2 psi, A).
 
@@ -205,28 +214,22 @@ class EnergyLedger:
         )
         self.rows: list = []
 
-    def evaluate(self, geom, psis, states=None) -> dict:
+    def evaluate(self, geom, psis, classes=None) -> dict:
         """Every column but step, inner_iters and wall_ms at one tuple.
 
         Builds one Hessian and one cone-checked density per class, unless
-        ``states`` passes each class's (Hessian, density or None) as
-        :func:`cone_state` gives them; raises NonAdmissible outside the
-        cone.
+        ``classes`` passes what :func:`class_columns` gives for each class;
+        raises NonAdmissible outside the cone.
         """
         psis = np.asarray(psis, dtype=float)
         grid = geom.grid
-        dens = [None] * geom.k
-        am, ivals, jvals, osc, eq_ratio = np.empty((5, geom.k))
-        for i, (A, psi) in enumerate(zip(geom.A, psis)):
-            if states is None:
-                hess, known = hessian(grid, psi), None
-            else:
-                hess, known = states[i]
-            dens[i], am[i], ivals[i], jvals[i] = _class_terms(
-                grid, A, psi, hess, "the ledger", known
-            )
-            osc[i] = psi.max() - psi.min()
-            eq_ratio[i] = _equivalence_ratio(grid, A, hess)
+        if classes is None:
+            classes = [
+                class_columns(grid, A, psi, hessian(grid, psi))
+                for A, psi in zip(geom.A, psis)
+            ]
+        dens, *columns = zip(*classes)
+        am, ivals, jvals, osc, eq_ratio = np.array(columns)
         lval = l_functional(geom, psis)
         dval = lval - float((am / geom.volumes).sum())
         rhos = ricci_potentials(geom, psis, densities=dens)

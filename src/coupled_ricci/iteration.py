@@ -31,6 +31,7 @@ from .errors import (
 )
 from .functionals import (  # noqa: F401  perfbench/tracer.py wraps cke_residual here
     EnergyLedger,
+    class_columns,
     cke_residual,
     cone_state,
     ricci_potentials,
@@ -173,13 +174,14 @@ def step_gauss_seidel(geom, psis, config: IterationConfig, tol_inner=None):
 
 
 def _sweep(geom, psis, config, tol_inner):
-    """:func:`step_gauss_seidel`, also returning each new class field's
-    (Hessian, density) from its slice solve."""
+    """:func:`step_gauss_seidel`, also returning the ledger's
+    :func:`class_columns` of each new class field, taken from the Hessian
+    and density its slice solve ends with."""
     previous = np.asarray(psis, dtype=float)
     current = previous.copy()
     partners = previous if config.mode == "jacobi" else current
     inner_iters = 0
-    states = []
+    classes = []
     for i in range(geom.k):
         g = partners.sum(axis=0) - partners[i]
         try:
@@ -194,8 +196,11 @@ def _sweep(geom, psis, config, tol_inner):
             raise
         current[i] = psi
         inner_iters += report.newton_iterations
-        states.append((report.hessian, report.density))
-    return current, inner_iters, states
+        classes.append(class_columns(
+            geom.grid, geom.A[i], psi, report.hessian, report.density
+        ))
+        del report  # the next slice solve runs without this one's Hessian
+    return current, inner_iters, classes
 
 
 class _Anderson:
@@ -300,11 +305,15 @@ def _start(state):
     coupling weight; with no class inside, it is None too.
     """
     geom, psis = state.geom, state.psis
-    states = [cone_state(geom.grid, A, psi) for A, psi in zip(geom.A, psis)]
+    grid = geom.grid
+    states = [cone_state(grid, A, psi) for A, psi in zip(geom.A, psis)]
     densities = [dens for _, dens in states]
     inside = [dens is not None for dens in densities]
     if all(inside):
-        terms = state.ledger.evaluate(geom, psis, states)
+        terms = state.ledger.evaluate(geom, psis, [
+            class_columns(grid, A, psi, hess, dens)
+            for A, psi, (hess, dens) in zip(geom.A, psis, states)
+        ])
         return terms, _row_residual(terms)
     logger.warning(
         "initial potentials for classes %s are outside the positivity "
@@ -385,7 +394,7 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         if history is not None and residual is not None:
             tol_inner = max(tol_inner, INNER_TOL_RATIO * residual)
         try:
-            swept, inner_iters, states = _sweep(geom, psis, config, tol_inner)
+            swept, inner_iters, classes = _sweep(geom, psis, config, tol_inner)
         except _INNER_ERRORS as exc:
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"
             state.error = exc
@@ -393,8 +402,8 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
                 state.ledger.record_state(terms, state.step, *unrecorded)
             state.step = step
             break
-        terms = state.ledger.evaluate(geom, swept, states)
-        del states  # the Hessians are not held through the next sweep
+        terms = state.ledger.evaluate(geom, swept, classes)
+        del classes  # its densities are not held through the next sweep
         if history is not None:
             swept, terms = _accelerate(state, history, psis, swept, terms)
         psis = state.psis = swept
