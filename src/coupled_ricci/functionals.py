@@ -43,7 +43,7 @@ def cone_state(grid, A, psi):
     """(Hessian, ma_density) of one potential; the density is None
     outside the cone."""
     hess = hessian(grid, psi)
-    return hess, _cone_density(grid, np.asarray(A, dtype=float), hess)
+    return hess, _cone_density(grid, A, hess)
 
 
 def _class_terms(grid, A, psi, hess, what, dens=None):
