@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, build_run_config, eval_field_expr, load_config_file
-from .errors import OracleIntractable, ParseError, ValidationError
+from .errors import NoConvergence, OracleIntractable, ParseError, ValidationError
 from .functionals import ding
 from .grid import PeriodicGrid, write_field
 from .iteration import run
@@ -180,11 +180,17 @@ def cmd_oracle(args) -> int:
     if not state.converged:
         print(f"engine did not converge on the coarse problem: {state.reason}")
         return _exit_code(state)
-    psis_ref, _cs, d_ref, newton_iters = oracle_fixed_point(geom)
+    solver = "oracle_fixed_point"
+    try:
+        psis_ref, _cs, d_ref, newton_iters = oracle_fixed_point(geom)
+        solver = "oracle_ding_descent"
+        _psis_desc, d_desc, trace, descent_iters = oracle_ding_descent(geom)
+    except NoConvergence as exc:
+        print(f"reference solver {solver} failed on the coarse problem: {exc}")
+        return EXIT_INNER_FAILURE
     report = compare_oracle(geom, state.psis, psis_ref, d_ref)
     report["N"] = coarse.N
     report["oracle_newton_iterations"] = newton_iters
-    _psis_desc, d_desc, trace, descent_iters = oracle_ding_descent(geom)
     report["descent_D_err"] = float(abs(d_desc - d_ref))
     report["descent_iterations"] = descent_iters
     report["descent_monotone"] = bool(

@@ -125,12 +125,15 @@ class RunConfig:
 
 
 def load_config_file(path) -> dict:
-    """Read a JSON config file; malformed JSON raises ParseError."""
+    """Read a JSON config file; malformed JSON or text that is not UTF-8
+    raises ParseError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return data

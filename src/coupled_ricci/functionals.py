@@ -71,23 +71,23 @@ def _class_terms(grid, A, psi, hess, what, dens=None):
     return dens, am, i_val, j_val
 
 
-def am_energy(grid: PeriodicGrid, A, psi, hess=None) -> float:
+def am_energy(grid: PeriodicGrid, A, psi) -> float:
     """Aubin-Mabuchi energy of one admissible potential.
 
     The integrand is psi times the average of the mixed discriminants
     D(M^j, A^(n-j)) for j = 0..n, with M = A + D^2 psi.
     """
-    return _class_terms(grid, A, psi, hess, "am_energy")[1]
+    return _class_terms(grid, A, psi, None, "am_energy")[1]
 
 
-def i_functional(grid: PeriodicGrid, A, psi, hess=None) -> float:
+def i_functional(grid: PeriodicGrid, A, psi) -> float:
     """Aubin I functional: (1/V) integral of psi (det A - ma_density)."""
-    return _class_terms(grid, A, psi, hess, "i_functional")[2]
+    return _class_terms(grid, A, psi, None, "i_functional")[2]
 
 
-def j_functional(grid: PeriodicGrid, A, psi, hess=None) -> float:
+def j_functional(grid: PeriodicGrid, A, psi) -> float:
     """Aubin J functional: (1/V) integral of psi det A minus AM/V."""
-    return _class_terms(grid, A, psi, hess, "j_functional")[3]
+    return _class_terms(grid, A, psi, None, "j_functional")[3]
 
 
 def l_functional(geom: BackgroundGeometry, psis) -> float:

@@ -201,13 +201,16 @@ def write_field(path, grid: PeriodicGrid, values: np.ndarray) -> None:
 
 def read_field(path):
     """Read a CRI-FIELD v1 file; returns (PeriodicGrid, values)."""
-    with open(path) as fh:
-        header = fh.readline()
-        match = _FIELD_HEADER.match(header)
-        if not match:
-            raise ParseError(f"{path}: bad or missing CRI-FIELD header")
-        n, N = int(match.group(1)), int(match.group(2))
-        tokens = fh.read().split()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    match = _FIELD_HEADER.match(header)
+    if not match:
+        raise ParseError(f"{path}: bad or missing CRI-FIELD header")
+    n, N = int(match.group(1)), int(match.group(2))
     try:
         grid = PeriodicGrid(n=n, N=N)
     except (UnsupportedDimension, ValueError) as exc:

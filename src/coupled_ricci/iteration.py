@@ -87,16 +87,14 @@ class IterationConfig:
     ``tol_inner`` is the slice tolerance of every plain sweep and the floor
     of the inexact-sweep schedule of the accelerated run (see :func:`run`).
     Tolerances must be positive finite reals and are stored as float;
-    budgets must be integers >= 1; booleans are neither.  Every violation
-    is collected into one ValidationError.
+    the budget ``max_outer`` must be an integer >= 1; booleans are
+    neither.  Every violation is collected into one ValidationError.
     """
 
     mode: str = "gauss_seidel"
     tol_fixed_point: float = 1e-8
     tol_inner: float = 1e-10
     max_outer: int = 200
-    max_newton: int = 40
-    record_every: int = 1
     accel: str = "anderson"
 
     def __post_init__(self):
@@ -119,12 +117,11 @@ class IterationConfig:
                 problems.append(
                     f"{key} must be a positive finite number, got {value!r}"
                 )
-        for key in ("max_outer", "max_newton", "record_every"):
-            value = getattr(self, key)
-            if isinstance(value, Integral) and _is_real(value) and value >= 1:
-                setattr(self, key, int(value))
-            else:
-                problems.append(f"{key} must be a positive integer, got {value!r}")
+        value = self.max_outer
+        if isinstance(value, Integral) and _is_real(value) and value >= 1:
+            self.max_outer = int(value)
+        else:
+            problems.append(f"max_outer must be a positive integer, got {value!r}")
         if problems:
             raise ValidationError(problems)
 
@@ -160,23 +157,19 @@ def _row_residual(terms) -> float:
 
 
 def step_gauss_seidel(geom, psis, config: IterationConfig, tol_inner=None):
-    """One sweep over the classes; returns (new tuple, total inner iterations).
+    """One sweep over the classes; returns (new tuple, total inner
+    iterations, the ledger's :func:`class_columns` of each new class).
 
     In Gauss-Seidel mode each slice is coupled to the newest partners; in
     Jacobi mode (``config.mode == "jacobi"``) every slice reads its
     partners from the previous tuple.  Each slice is solved to
-    ``tol_inner``, by default ``config.tol_inner``.  Inner-solver errors
-    are re-raised with the failing class index attached as ``slice_index``.
+    ``tol_inner``, by default ``config.tol_inner``, and its columns are
+    taken from the Hessian and density its solve ends with.  Inner-solver
+    errors are re-raised with the failing class index attached as
+    ``slice_index``.
     """
     if tol_inner is None:
         tol_inner = config.tol_inner
-    return _sweep(geom, psis, config, tol_inner)[:2]
-
-
-def _sweep(geom, psis, config, tol_inner):
-    """:func:`step_gauss_seidel`, also returning the ledger's
-    :func:`class_columns` of each new class field, taken from the Hessian
-    and density its slice solve ends with."""
     previous = np.asarray(psis, dtype=float)
     current = previous.copy()
     partners = previous if config.mode == "jacobi" else current
@@ -186,10 +179,7 @@ def _sweep(geom, psis, config, tol_inner):
         g = partners.sum(axis=0) - partners[i]
         try:
             psi, report = solve_tke(
-                geom, i, g,
-                tol_inner=tol_inner,
-                max_newton=config.max_newton,
-                warm_start=current[i],
+                geom, i, g, tol_inner=tol_inner, warm_start=current[i]
             )
         except CoupledRicciError as exc:
             exc.slice_index = i
@@ -341,8 +331,8 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     once, by ``EnergyLedger.evaluate``, for the Anderson safeguard, the
     stopping test and the ledger row: the start from one Hessian per
     class, which also gives its cone test, and a sweep output from the
-    Hessians and densities its slice solves end with.  ``record_every``
-    only thins the rows: the ledger always ends with the row of the tuple
+    Hessians and densities its slice solves end with.  Each tuple taken
+    gets its row at once, so the ledger ends with the row of the tuple
     returned, which ``final_rho_max`` reads, unless that tuple is a start
     outside the cone.
     With ``accel="anderson"`` the sweep from x solves its slices to
@@ -382,8 +372,6 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         state.ledger.record_state(terms, step=0, inner_iters=0, wall_ms=0.0)
 
     history = _Anderson() if config.accel == "anderson" else None
-    # (inner_iters, wall_ms) of the sweep that gave psis while its row is unwritten
-    unrecorded = None
     while terms is None or residual > config.tol_fixed_point:
         if state.step == config.max_outer:
             state.reason = "max_outer"
@@ -394,12 +382,12 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         if history is not None and residual is not None:
             tol_inner = max(tol_inner, INNER_TOL_RATIO * residual)
         try:
-            swept, inner_iters, classes = _sweep(geom, psis, config, tol_inner)
+            swept, inner_iters, classes = step_gauss_seidel(
+                geom, psis, config, tol_inner
+            )
         except _INNER_ERRORS as exc:
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"
             state.error = exc
-            if unrecorded is not None:
-                state.ledger.record_state(terms, state.step, *unrecorded)
             state.step = step
             break
         terms = state.ledger.evaluate(geom, swept, classes)
@@ -409,14 +397,11 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         psis = state.psis = swept
         state.step = step
         residual = _row_residual(terms)
+        state.ledger.record_state(
+            terms, step, inner_iters, (time.perf_counter() - t_step) * 1e3
+        )
         # a sweep without a Newton step maps the tuple to itself
-        stalled = inner_iters == 0 and residual > config.tol_fixed_point
-        unrecorded = (inner_iters, (time.perf_counter() - t_step) * 1e3)
-        if (step % config.record_every == 0 or step == config.max_outer
-                or stalled or residual <= config.tol_fixed_point):
-            state.ledger.record_state(terms, step, *unrecorded)
-            unrecorded = None
-        if stalled:
+        if inner_iters == 0 and residual > config.tol_fixed_point:
             state.reason = (
                 f"stalled: a sweep took no Newton step at rho_max "
                 f"{residual:.3g} > tol_fixed_point {config.tol_fixed_point:g}; "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,64 +209,29 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # sparse stencil operators
 
-_SHIFT_CACHE: dict = {}
-
-
-def _shift_matrix(grid: PeriodicGrid, offset) -> sp.csr_matrix:
-    """Sparse matrix of u(x) -> u(x + offset) on the flat C-ordered field."""
-    key = (grid.n, grid.N, tuple(offset))
-    cached = _SHIFT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    idx = np.arange(grid.num_points).reshape(grid.shape)
-    cols = idx
-    for axis, step in enumerate(offset):
-        cols = np.roll(cols, -step, axis=axis)
-    mat = sp.csr_matrix(
-        (
-            np.ones(grid.num_points),
-            (idx.ravel(), cols.ravel()),
-        ),
-        shape=(grid.num_points, grid.num_points),
-    )
-    _SHIFT_CACHE[key] = mat
-    return mat
-
-
-def _stencil_matrix(grid, terms) -> sp.csr_matrix:
-    out = None
-    for offset, coeff in terms:
-        piece = coeff * _shift_matrix(grid, offset)
-        out = piece if out is None else out + piece
-    return (out / grid.h**2).tocsr()
-
-
+@cache
 def _operator_matrices(grid: PeriodicGrid) -> dict:
-    """Second-difference and skew-mixed stencils as sparse matrices."""
-    key = ("ops", grid.n, grid.N)
-    cached = _SHIFT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ops = {}
+    """Second-difference and skew-mixed stencils as sparse matrices.
+
+    Built from the periodic shift S, (S u)(x) = u(x + h), of one axis: the
+    second difference S + S^T - 2I on each axis and, in 2-d, the one-sided
+    mixed products (S - I)(S - I) and (I - S^T)(I - S^T) of the two axes.
+    """
+    eye = sp.identity(grid.N, format="csr")
+    shift = sp.eye(grid.N, k=1, format="csr") + sp.eye(grid.N, k=1 - grid.N)
+    second = shift + shift.T - 2 * eye
     if grid.n == 1:
-        ops["d0"] = _stencil_matrix(grid, [((1,), 1.0), ((-1,), 1.0), ((0,), -2.0)])
-    else:
-        ops["d0"] = _stencil_matrix(
-            grid, [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 0), -2.0)]
-        )
-        ops["d1"] = _stencil_matrix(
-            grid, [((0, 1), 1.0), ((0, -1), 1.0), ((0, 0), -2.0)]
-        )
-        ops["qp"] = _stencil_matrix(
-            grid,
-            [((1, 1), 1.0), ((1, 0), -1.0), ((0, 1), -1.0), ((0, 0), 1.0)],
-        )
-        ops["qm"] = _stencil_matrix(
-            grid,
-            [((0, 0), 1.0), ((-1, 0), -1.0), ((0, -1), -1.0), ((-1, -1), 1.0)],
-        )
-    _SHIFT_CACHE[key] = ops
-    return ops
+        return {"d0": second / grid.h**2}
+
+    def kron(a, b):  # csr: the default BSR result keeps explicit zeros
+        return sp.kron(a, b, format="csr") / grid.h**2
+
+    return {
+        "d0": kron(second, eye),
+        "d1": kron(eye, second),
+        "qp": kron(shift - eye, shift - eye),
+        "qm": kron(eye - shift.T, eye - shift.T),
+    }
 
 
 def log_ma_linearization(grid, A, psi=None, hess=None) -> sp.csr_matrix:

@@ -82,7 +82,7 @@ def test_criterion_2_fixed_point_is_cke(converged_sine):
     geom, config, state, _ = converged_sine
     rhos = ricci_potentials(geom, state.psis)
     rho_max = float(np.abs(rhos).max())
-    extra, _ = step_gauss_seidel(geom, state.psis, config)
+    extra, _, _ = step_gauss_seidel(geom, state.psis, config)
     move = float(np.abs(extra - state.psis).max())
     ok = rho_max <= 1e-8 and move <= 1e-9
     report(2, ok, f"rho_max={rho_max:.2e} extra_step_move={move:.2e}")
@@ -101,8 +101,8 @@ def test_criterion_3_unique_limit_at_negative_lambda(converged_sine):
 def test_criterion_4_single_class_needs_one_step():
     geom, config = preset_problem("neg-k1-sine")
     zeros = np.zeros((1,) + geom.grid.shape)
-    first, _ = step_gauss_seidel(geom, zeros, config)
-    second, _ = step_gauss_seidel(geom, first, config)
+    first, _, _ = step_gauss_seidel(geom, zeros, config)
+    second, _, _ = step_gauss_seidel(geom, first, config)
     move = float(np.abs(second - first).max())
     ok = move <= 1e-10
     report(4, ok, f"second_step_move={move:.2e}")
@@ -246,7 +246,6 @@ def test_criterion_10_jacobi_agrees_with_gauss_seidel(converged_sine):
         tol_fixed_point=config.tol_fixed_point,
         tol_inner=config.tol_inner,
         max_outer=config.max_outer,
-        max_newton=config.max_newton,
     )
     ja_state = run(geom, ja_config)
     steps = ja_state.ledger.column("step")

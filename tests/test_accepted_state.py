@@ -111,9 +111,9 @@ def test_reused_states_keep_counts_and_outputs(monkeypatch, name):
     assert (state.step, newton, krylov) == COUNTS[name]
 
     # the same run with every sweep output's state rebuilt from psi
-    sweep = iteration._sweep
+    sweep = iteration.step_gauss_seidel
     monkeypatch.setattr(
-        iteration, "_sweep",
+        iteration, "step_gauss_seidel",
         lambda *args: (*sweep(*args)[:2], None),
     )
     rebuilt, newton_r, krylov_r, _ = _counted_run(monkeypatch, name)

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from coupled_ricci import monge_ampere
+from coupled_ricci import cli, monge_ampere
 from coupled_ricci.cli import _downsample_config, main
 from coupled_ricci.config import build_run_config
-from coupled_ricci.errors import ValidationError
+from coupled_ricci.errors import NoConvergence, ValidationError
 from coupled_ricci.grid import read_field
 from coupled_ricci.scenarios import PRESETS, get_preset
 
@@ -236,7 +236,7 @@ def test_oracle_config_keeps_the_accel_key():
 
 def test_oracle_config_keeps_every_iteration_setting():
     cfg = get_preset("neg-k2-sine")
-    cfg.update(max_newton=3, record_every=5)
+    cfg.update(tol_inner=1e-9, max_outer=7)
     fine = build_run_config(cfg)
     coarse = _downsample_config(fine)
     assert coarse.N == 8
@@ -330,6 +330,44 @@ def test_oracle_verb_rejects_indivisible_grid(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+def test_oracle_verb_reports_a_failed_reference_solve(monkeypatch, capsys):
+    def fails(geom):
+        raise NoConvergence("injected")
+
+    monkeypatch.setattr(cli, "oracle_fixed_point", fails)
+    assert run_cli(["oracle", "neg-k2-sine"]) == 3
+    out = capsys.readouterr().out
+    assert out == (
+        "reference solver oracle_fixed_point failed on the coarse "
+        "problem: injected\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# files that are not UTF-8 text
+
+
+def test_config_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    for verb in ("validate", "run"):
+        assert run_cli([verb, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+def test_init_field_file_that_is_not_utf8_is_a_violation(tmp_path, capsys):
+    path = tmp_path / "bad.field"
+    path.write_bytes(b"\xff\xfeCRI-FIELD v1 n=1 N=64\n")
+    cfg = get_preset("neg-k2-sine")
+    cfg["init"] = [{"file": str(path)}, "0"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["validate", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"  - init_1: {path}: not UTF-8 text" in err
+
+
 # ---------------------------------------------------------------------------
 # config plumbing used by the CLI
 
@@ -352,13 +390,19 @@ def test_seed_key_is_unknown():
 
 
 def test_removed_iteration_settings_are_unknown_keys():
-    # psi is always in the sup gauge and the classes are swept in the
-    # order given
+    # psi is always in the sup gauge, the classes are swept in the order
+    # given, every tuple gets its ledger row and the slice solves keep
+    # their own Newton budget
     cfg = get_preset("neg-k2-sine")
     cfg.update(norm_mode="sup", sweep_order="forward")
     with pytest.raises(ValidationError) as excinfo:
         build_run_config(cfg)
     assert excinfo.value.violations == ["unknown keys: norm_mode, sweep_order"]
+    cfg = get_preset("neg-k2-sine")
+    cfg.update(record_every=5, max_newton=3)
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == ["unknown keys: max_newton, record_every"]
 
 
 @pytest.mark.parametrize("key", ["n", "k", "lambda", "cri_config"])

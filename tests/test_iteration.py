@@ -49,19 +49,19 @@ def sine_geom(N=32, k=2, lam=-1, amp=0.5, a=1.0):
         {"accel": "fast"},
         {"accel": True},
         {"max_outer": 0},
-        {"record_every": 0},
+        {"max_outer": 3.0},
         {"tol_inner": -1.0},
         {"tol_fixed_point": 0.0},
-        {"max_newton": 0},
-        {"max_newton": -1},
+        {"tol_fixed_point": "1e-8"},
+        {"tol_fixed_point": 10**400},
         {"tol_inner": float("inf")},
         {"tol_inner": float("nan")},
         {"tol_fixed_point": float("inf")},
         {"tol_fixed_point": float("nan")},
         {"max_outer": 2.5},
         {"max_outer": True},
-        {"record_every": 1.5},
-        {"max_newton": 2.5},
+        {"max_outer": "5"},
+        {"mode": None},
         {"tol_inner": True},
     ],
 )
@@ -82,11 +82,9 @@ def test_config_reports_every_violation_at_once():
 def test_config_accepts_numpy_scalars():
     config = IterationConfig(
         max_outer=np.int64(5), tol_inner=np.float64(1e-9),
-        tol_fixed_point=np.float32(0.5), record_every=np.uint8(2),
+        tol_fixed_point=np.float32(0.5),
     )
-    assert config == IterationConfig(
-        max_outer=5, tol_inner=1e-9, tol_fixed_point=0.5, record_every=2
-    )
+    assert config == IterationConfig(max_outer=5, tol_inner=1e-9, tol_fixed_point=0.5)
     assert type(config.max_outer) is int
     assert type(config.tol_inner) is float
 
@@ -168,8 +166,8 @@ def test_single_class_fixed_point_in_one_step():
     # equation and the second sweep must not move
     geom = sine_geom(k=1)
     config = IterationConfig()
-    psis1, _ = step_gauss_seidel(geom, np.zeros((1,) + geom.grid.shape), config)
-    psis2, _ = step_gauss_seidel(geom, psis1, config)
+    psis1, _, _ = step_gauss_seidel(geom, np.zeros((1,) + geom.grid.shape), config)
+    psis2, _, _ = step_gauss_seidel(geom, psis1, config)
     assert np.abs(psis2 - psis1).max() <= 1e-10
 
 
@@ -203,24 +201,6 @@ def test_jacobi_and_gauss_seidel_share_the_limit():
     gs = run(geom)
     ja = run(geom, IterationConfig(mode="jacobi"))
     assert np.abs(gs.psis - ja.psis).max() <= 1e-6
-
-
-def test_record_every_thins_the_ledger():
-    geom = sine_geom(N=64, a=1000.0)
-    geom.A[1] = 1300.0
-    state = run(geom, IterationConfig(record_every=2))
-    steps = list(state.ledger.column("step"))
-    assert steps[0] == 0
-    assert steps[-1] == state.step
-    interior = steps[1:-1]
-    assert all(s % 2 == 0 for s in interior)
-    # record_every only thins the rows: the run itself is unchanged
-    full = run(geom)
-    assert state.step == full.step
-    assert np.array_equal(state.psis, full.psis)
-    rows = {row["step"]: row for row in full.ledger.rows}
-    for row in state.ledger.rows:
-        assert {**row, "wall_ms": 0.0} == {**rows[row["step"]], "wall_ms": 0.0}
 
 
 def test_run_builds_one_hessian_per_class_and_evaluated_tuple(monkeypatch):
@@ -260,7 +240,7 @@ def test_plain_iteration_is_repeated_sweeps():
     assert state.extrapolations_accepted == state.extrapolations_rejected == 0
     psis = np.zeros((2,) + geom.grid.shape)
     for _ in range(state.step):
-        psis, _ = step_gauss_seidel(geom, psis, config)
+        psis, _, _ = step_gauss_seidel(geom, psis, config)
     assert np.array_equal(state.psis, psis)
 
 
@@ -497,7 +477,7 @@ def test_accelerated_runs_reach_the_fixed_point(N, a, b):
     state = run(geom)
     assert state.converged
     assert state.monotone_report.ok
-    again, _ = step_gauss_seidel(geom, state.psis, state.config)
+    again, _, _ = step_gauss_seidel(geom, state.psis, state.config)
     assert np.abs(again - state.psis).max() <= 1e-6
 
 
@@ -525,7 +505,7 @@ def test_a_sweep_without_a_newton_step_stops_the_run():
     # a sweep soon takes no Newton step and returns its input
     geom = sine_geom(N=16)
     geom.A[1] = 1.3
-    state = run(geom, IterationConfig(tol_fixed_point=1e-12, record_every=50))
+    state = run(geom, IterationConfig(tol_fixed_point=1e-12))
     assert not state.converged
     assert state.reason.startswith("stalled")
     assert "tol_fixed_point 1e-12" in state.reason
@@ -542,31 +522,28 @@ def test_a_sweep_without_a_newton_step_stops_the_run():
 
 
 def test_inner_failure_writes_the_row_of_the_returned_tuple(monkeypatch):
-    # with record_every 5 the tuple of step 3 has no row when the sweep of
-    # step 4 fails; the ledger must still end with that tuple's row
+    # the sweep of step 4 fails; the ledger must end with the row of the
+    # tuple of step 3, which the run returns
     geom = sine_geom(N=16, a=1000.0)
     geom.A[1] = 1300.0
+    done = run(geom, IterationConfig(max_outer=3))
     solve = iteration.solve_tke
-    states = {}
-    for every in (1, 5):
-        calls = []
+    calls = []
 
-        def failing(*args, **kwargs):
-            calls.append(args[1])
-            if len(calls) == 7:  # class 1 of sweep 4
-                raise NoConvergence("injected")
-            return solve(*args, **kwargs)
+    def failing(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 7:  # class 1 of sweep 4
+            raise NoConvergence("injected")
+        return solve(*args, **kwargs)
 
-        monkeypatch.setattr(iteration, "solve_tke", failing)
-        states[every] = run(geom, IterationConfig(record_every=every))
-    full, thin = states[1], states[5]
-    assert thin.reason == full.reason == "inner_failure: NoConvergence: injected"
-    assert thin.step == 4
-    assert np.array_equal(thin.psis, full.psis)
-    assert [row["step"] for row in thin.ledger.rows] == [0, 3]
-    rows = {row["step"]: row for row in full.ledger.rows}
-    for row in thin.ledger.rows:
-        assert {**row, "wall_ms": 0.0} == {**rows[row["step"]], "wall_ms": 0.0}
+    monkeypatch.setattr(iteration, "solve_tke", failing)
+    state = run(geom)
+    assert state.reason == "inner_failure: NoConvergence: injected"
+    assert state.step == 4
+    assert np.array_equal(state.psis, done.psis)
+    assert [row["step"] for row in state.ledger.rows] == [0, 1, 2, 3]
+    for row, ref in zip(state.ledger.rows, done.ledger.rows):
+        assert {**row, "wall_ms": 0.0} == {**ref, "wall_ms": 0.0}
 
 
 def test_inner_failure_is_reported_with_slice_index():
