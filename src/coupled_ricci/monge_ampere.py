@@ -30,9 +30,10 @@ logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 50
 
-# GMRES settings of the Newton linear solve.  It stops when the true
-# residual meets the looser of a relative tolerance and an absolute floor
-# of _KRYLOV_ATOL_FACTOR * tol * sqrt(P), tol being the Newton tolerance:
+# GMRES settings of the Newton linear solve: one cycle of at most
+# _KRYLOV_STEPS steps.  It stops when the residual meets the looser of a
+# relative tolerance and an absolute floor of
+# _KRYLOV_ATOL_FACTOR * tol * sqrt(P), tol being the Newton tolerance:
 # on fine 2-d grids the linear residual rounds at h^-2 scale, above any
 # floor that small.  The relative tolerance is the inexact-Newton forcing
 # term (Eisenstat & Walker 1996): the sup norm of the residual GMRES
@@ -41,8 +42,7 @@ _MAX_HALVINGS = 50
 _KRYLOV_RTOL = 1e-10
 _FORCING_MAX = 0.1
 _KRYLOV_ATOL_FACTOR = 0.01
-_KRYLOV_RESTART = 50
-_KRYLOV_MAXITER = 10
+_KRYLOV_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,7 @@ class SolveReport:
 
     ``damping_factors`` and ``krylov_iterations`` hold one entry per
     Newton step: the accepted line-search factor, and the preconditioner
-    applications of that step's GMRES solve, which are one per Arnoldi
-    step plus one per restart cycle (the update of the iterate).  These
+    applications of that step's GMRES solve, one per Arnoldi step.  These
     two lists and ``newton_iterations`` span all rungs of the path in t,
     and ``continuity_trace`` lists (t, Newton steps) per rung, the last at
     t = lam; the ``residual_history`` holds the last rung only.
@@ -400,68 +399,60 @@ def _newton_operators(grid, A, hess, dens, t):
 
 
 def _krylov_solve(matvec, psolve, b, rtol, atol):
-    """Restarted GMRES with right preconditioning, started from x = 0.
+    """One cycle of flexible GMRES, started from x = 0.
 
-    Solves A x = b for the operator ``matvec`` with the preconditioner
-    ``psolve`` (Saad & Schultz 1986).  Each cycle builds an Arnoldi basis
-    of A M in one (m+1)-by-size array, orthogonalised by classical
-    Gram-Schmidt applied twice, and tracks the least-squares residual with
-    Givens rotations.  The cycle ends when that residual meets the target
-    max(rtol*||b||, atol) or after _KRYLOV_RESTART steps; x is then updated
-    and the true residual b - A x recomputed.  The solve stops when the
-    true residual meets the target, or after _KRYLOV_MAXITER cycles.
-    Returns (x, converged, applications of ``psolve``).
+    Solves A x = b for the operator ``matvec`` with the right
+    preconditioner ``psolve`` (Saad 1993).  Step j stores the Arnoldi
+    vector v_j and z_j = psolve(v_j) side by side, orthogonalises
+    A z_j by classical Gram-Schmidt applied twice, and tracks the
+    least-squares residual |g| with Givens rotations.  The solve stops when
+    |g| meets max(rtol*||b||, atol), or after _KRYLOV_STEPS steps; the
+    iterate x = sum_j y_j z_j takes no further ``psolve`` or ``matvec``.
+    Returns (x, converged, Arnoldi steps).
     """
-    target = max(rtol * float(np.linalg.norm(b)), atol)
-    x = np.zeros_like(b)
-    r = b
-    beta = float(np.linalg.norm(r))
-    applications = 0
+    beta = float(np.linalg.norm(b))
+    target = max(rtol * beta, atol)
     if beta <= target:
-        return x, True, applications
-    m = _KRYLOV_RESTART
-    basis = np.empty((m + 1, b.size))
+        return np.zeros_like(b), True, 0
+    m = _KRYLOV_STEPS
+    # v_j and z_j side by side in one block, so the pages a solve touches
+    # lie together at its front and the next solve reuses them
+    pairs = np.empty((m + 1, 2, b.size))
+    basis, directions = pairs[:, 0], pairs[:, 1]
     rot = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
     eps = np.finfo(float).eps
-    for _ in range(_KRYLOV_MAXITER):
-        np.divide(r, beta, out=basis[0])
-        g = [beta]
-        cos, sin = [], []
-        for j in range(m):
-            w = matvec(psolve(basis[j]))
-            applications += 1
-            w_norm = np.linalg.norm(w)
-            done = basis[: j + 1]
-            col = done @ w
-            w -= col @ done
-            again = done @ w
-            w -= again @ done
-            col += again
-            h_next = float(np.linalg.norm(w))
-            col = col.tolist()
-            for i in range(j):
-                upper, lower = col[i], col[i + 1]
-                col[i] = cos[i] * upper + sin[i] * lower
-                col[i + 1] = cos[i] * lower - sin[i] * upper
-            diag = math.hypot(col[j], h_next)
-            cos.append(col[j] / diag)
-            sin.append(h_next / diag)
-            col[j] = diag
-            rot[: j + 1, j] = col
-            g.append(-sin[j] * g[j])
-            g[j] *= cos[j]
-            if abs(g[j + 1]) <= target or h_next <= eps * w_norm:
-                break
-            np.divide(w, h_next, out=basis[j + 1])
-        k = j + 1
-        y = np.linalg.solve(rot[:k, :k], g[:k])
-        x += psolve(y @ basis[:k])
-        applications += 1
-        r = b - matvec(x)
-        beta = float(np.linalg.norm(r))
-        if beta <= target:
-            return x, True, applications
-    return x, False, applications
+    np.divide(b, beta, out=basis[0])
+    g = [beta]
+    cos, sin = [], []
+    for j in range(m):
+        directions[j] = psolve(basis[j])
+        w = matvec(directions[j])
+        w_norm = np.linalg.norm(w)
+        done = basis[: j + 1]
+        col = done @ w
+        w -= col @ done
+        again = done @ w
+        w -= again @ done
+        col += again
+        h_next = float(np.linalg.norm(w))
+        col = col.tolist()
+        for i in range(j):
+            upper, lower = col[i], col[i + 1]
+            col[i] = cos[i] * upper + sin[i] * lower
+            col[i + 1] = cos[i] * lower - sin[i] * upper
+        diag = math.hypot(col[j], h_next)
+        cos.append(col[j] / diag)
+        sin.append(h_next / diag)
+        col[j] = diag
+        rot[: j + 1, j] = col
+        g.append(-sin[j] * g[j])
+        g[j] *= cos[j]
+        if abs(g[j + 1]) <= target or h_next <= eps * w_norm:
+            break
+        np.divide(w, h_next, out=basis[j + 1])
+    k = j + 1
+    y = np.linalg.solve(rot[:k, :k], g[:k])
+    return y @ directions[:k], abs(g[k]) <= target, k
 
 
 def _newton_direction(grid, A, hess, dens, res, tol, t, mean,
@@ -477,17 +468,17 @@ def _newton_direction(grid, A, hess, dens, res, tol, t, mean,
     matvec, psolve = _newton_operators(grid, A, hess, dens, t)
     P = grid.num_points
     rhs = -np.append(res.ravel(), mean)
-    sol, converged, applications = _krylov_solve(
+    sol, converged, steps = _krylov_solve(
         matvec, psolve, rhs, rtol, _KRYLOV_ATOL_FACTOR * tol * np.sqrt(P)
     )
     if not converged:
         reached = np.linalg.norm(rhs - matvec(sol)) / np.linalg.norm(rhs)
         raise NoConvergence(
             f"Newton linear solve (GMRES) did not converge after "
-            f"{applications} preconditioned iterations; relative "
+            f"{steps} preconditioned iterations; relative "
             f"residual {reached:.3e}"
         )
-    return sol[:P].reshape(grid.shape), float(sol[P]), applications
+    return sol[:P].reshape(grid.shape), float(sol[P]), steps
 
 
 # ---------------------------------------------------------------------------

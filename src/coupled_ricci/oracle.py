@@ -36,7 +36,7 @@ def dense_newton(residual_fn, u0, tol=1e-12, max_iter=80):
 
     Returns (u, iterations).  The residual must be defined everywhere
     (density form, not log form) so the line search needs no domain
-    guard.
+    guard; a trial point where it overflows fails the decrease test.
     """
     u = np.array(u0, dtype=float, copy=True)
     r = residual_fn(u)
@@ -49,7 +49,8 @@ def dense_newton(residual_fn, u0, tol=1e-12, max_iter=80):
         alpha = 1.0
         for _ in range(40):
             cand = u + alpha * delta
-            r_cand = residual_fn(cand)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_cand = residual_fn(cand)
             cand_norm = float(np.abs(r_cand).max())
             if cand_norm <= (1.0 - 0.25 * alpha) * norm:
                 u, r, norm = cand, r_cand, cand_norm
@@ -106,9 +107,10 @@ class StackedSystem:
 def oracle_fixed_point(geom: BackgroundGeometry, tol=1e-12, max_iter=80):
     """Solve the whole coupled system at once, dense and sweep-free.
 
-    Returns (psis, cs, ding_value, iterations) with mean-zero
-    potentials.  Only sensible for tiny grids; refuses more than
-    64 points per class.
+    Newton stops once the density-form residual is below
+    ``tol`` * max(1, max_i det A_i), the scale of the densities.  Returns (psis, cs, ding_value,
+    iterations) with mean-zero potentials.  Only sensible for tiny grids;
+    refuses more than 64 points per class.
     """
     if geom.grid.num_points > _MAX_POINTS:
         raise OracleIntractable(
@@ -116,8 +118,9 @@ def oracle_fixed_point(geom: BackgroundGeometry, tol=1e-12, max_iter=80):
             f"reference limit of {_MAX_POINTS}"
         )
     system = StackedSystem(geom)
+    scale = max(1.0, float(geom.volumes.max()))
     u, iterations = dense_newton(system.residual, system.initial_guess(),
-                                 tol=tol, max_iter=max_iter)
+                                 tol=tol * scale, max_iter=max_iter)
     psis, cs = system.split(u)
     for i in range(geom.k):
         if not is_admissible(geom.grid, geom.A[i], psis[i]):

@@ -207,6 +207,27 @@ def test_floor_probes_still_fail_the_exact_iteration(tmp_path, monkeypatch, name
     assert len(newton_calls) == 1
 
 
+def test_steep_floor_probe_solves_each_newton_system_in_one_cycle(
+    tmp_path, monkeypatch
+):
+    # Its longest Newton system takes 57 GMRES steps; a solve past 50 steps
+    # must still converge within the single cycle.
+    solves = []
+    krylov_solve = monge_ampere._krylov_solve
+
+    def recording(*args):
+        x, converged, steps = krylov_solve(*args)
+        solves.append((converged, steps))
+        return x, converged, steps
+
+    monkeypatch.setattr(monge_ampere, "_krylov_solve", recording)
+    code, summary, _ = _run_probe(tmp_path, "n512-steep-f")
+    assert code == 0
+    assert summary["converged"] is True
+    assert all(converged for converged, _ in solves)
+    assert 50 < max(steps for _, steps in solves) <= monge_ampere._KRYLOV_STEPS
+
+
 def test_stiff_preset_needs_the_outer_acceleration(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "neg-k2-stiff", "--out", str(out)]) == 0

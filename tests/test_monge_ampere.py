@@ -419,11 +419,8 @@ def _nonsymmetric_system(size, seed):
     return mat, rng.standard_normal(size)
 
 
-@pytest.mark.parametrize("restart", [6, 50])
 @pytest.mark.parametrize("rtol,atol", [(1e-12, 0.0), (0.0, 1e-9), (1e-3, 1e-9)])
-def test_krylov_solve_matches_a_direct_solve(monkeypatch, restart, rtol, atol):
-    # restart 6 < 40 unknowns makes the solve restart several times
-    monkeypatch.setattr(monge_ampere, "_KRYLOV_RESTART", restart)
+def test_krylov_solve_matches_a_direct_solve(rtol, atol):
     mat, b = _nonsymmetric_system(40, 5)
     assert np.abs(mat - mat.T).max() > 0.1
     diag = np.diag(mat).copy()
@@ -444,8 +441,8 @@ def test_krylov_solve_with_the_exact_inverse_takes_one_step():
     x, converged, its = monge_ampere._krylov_solve(
         lambda v: mat @ v, lambda v: inverse @ v, b, 1e-12, 0.0
     )
-    # one Arnoldi step, then one application to update x
-    assert converged and its == 2
+    # one Arnoldi step; the update of x applies nothing more
+    assert converged and its == 1
     np.testing.assert_allclose(x, np.linalg.solve(mat, b), rtol=0, atol=1e-12)
 
 
@@ -456,8 +453,7 @@ def test_krylov_solve_reports_an_exhausted_budget():
         lambda v: mat @ v, lambda v: v / diag, b, 0.0, 0.0
     )
     assert not converged
-    assert monge_ampere._KRYLOV_MAXITER < its
-    assert its <= monge_ampere._KRYLOV_MAXITER * (monge_ampere._KRYLOV_RESTART + 1)
+    assert 0 < its <= monge_ampere._KRYLOV_STEPS
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
 

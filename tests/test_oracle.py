@@ -13,13 +13,16 @@ from coupled_ricci import (
     ma_density,
     run,
 )
-from coupled_ricci.errors import OracleIntractable
+from coupled_ricci.cli import _downsample_config
+from coupled_ricci.config import build_run_config
+from coupled_ricci.errors import NoConvergence, OracleIntractable
 from coupled_ricci.oracle import (
     StackedSystem,
     dense_newton,
     oracle_ding_descent,
     oracle_fixed_point,
 )
+from coupled_ricci.scenarios import get_preset
 
 
 def small_geom(lam=-1, k=2, N=8, amp=0.5):
@@ -50,8 +53,6 @@ def test_dense_newton_scalar_root():
 
 
 def test_dense_newton_reports_failure():
-    from coupled_ricci.errors import NoConvergence
-
     with pytest.raises(NoConvergence):
         dense_newton(lambda u: np.array([u[0] ** 2 + 1.0]), np.array([1.0]),
                      max_iter=10)
@@ -119,6 +120,35 @@ def test_oracle_matches_the_iteration(lam):
     assert np.abs(diff).max() <= 1e-8
     assert dval == pytest.approx(ding(geom, state.psis), abs=1e-10)
     assert cke_residual(geom, psis) <= 1e-10
+
+
+def test_oracle_tolerance_follows_the_density_scale():
+    # det A_i near 4e3 puts an absolute 1e-12 on the density-form residual
+    # below its rounding; the tolerance scales with max_i det A_i
+    grid = PeriodicGrid(2, 8)
+    x1, x2 = grid.coords()
+    geom = BackgroundGeometry(
+        grid=grid,
+        lam=-1,
+        A=np.array([[[60.0, 5.0], [5.0, 65.0]], [[70.0, 0.0], [0.0, 60.0]]]),
+        f=1 + 0.3 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2),
+    )
+    psis, _, _, iterations = oracle_fixed_point(geom)
+    assert iterations == 4
+    state = run(geom, IterationConfig())
+    assert state.converged
+    diff = sup_normalize(psis) - sup_normalize(state.psis)
+    assert np.abs(diff).max() <= 2.5e-9
+
+
+def test_oracle_line_search_rejects_overflowing_trial_points():
+    # lam = +1 trial points of the steep preset overflow exp(-lam sum psi);
+    # the line search counts them as failed steps, without a warning
+    geom = _downsample_config(
+        build_run_config(get_preset("pos-k2-steep"))
+    ).geometry()
+    with pytest.raises(NoConvergence, match="line search stalled"):
+        oracle_fixed_point(geom)
 
 
 # ---------------------------------------------------------------------------
