@@ -43,7 +43,8 @@ def eval_field_expr(expr: str, grid: PeriodicGrid) -> np.ndarray:
     x_1..x_n, the four arithmetic operators, unary sign, and the
     functions sin, cos, exp.  Anything else raises ParseError, and so
     does an expression nested past Python's recursion limit, such as a
-    written-out sum of some thousand terms.
+    written-out sum of some thousand terms.  Division by zero and overflow
+    give inf or NaN without a warning; callers check for non-finite values.
     """
     too_deep = f"expression of {len(expr)} characters is too deeply nested"
     try:
@@ -94,7 +95,8 @@ def eval_field_expr(expr: str, grid: PeriodicGrid) -> np.ndarray:
         )
 
     try:
-        value = visit(tree)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = visit(tree)
     except RecursionError:
         raise ParseError(too_deep) from None
     return np.broadcast_to(np.asarray(value, dtype=float), grid.shape).copy()

@@ -87,28 +87,6 @@ class PeriodicGrid:
         out[:, -1] = out[:, 1]
         return out
 
-    def stencils(self, values: np.ndarray):
-        """Yield the Hessian stencils of a field from one periodic halo copy.
-
-        Yields the centered second difference along each axis, then on
-        2-d grids the mixed differences composed of forward/forward and of
-        backward/backward first differences.  Each is a slice expression
-        on one copy of the field padded by a periodic cell on every side;
-        yielding them one at a time lets a caller that combines them keep
-        only one alive.
-        """
-        h2 = self.h**2
-        halo = self.pad(values)
-        if self.n == 1:
-            yield (halo[2:] + halo[:-2] - 2.0 * values) / h2
-            return
-        up, down = halo[2:, 1:-1], halo[:-2, 1:-1]
-        right, left = halo[1:-1, 2:], halo[1:-1, :-2]
-        yield (up + down - 2.0 * values) / h2
-        yield (right + left - 2.0 * values) / h2
-        yield (halo[2:, 2:] - up - right + values) / h2
-        yield (values - down - left + halo[:-2, :-2]) / h2
-
 
 @dataclass(frozen=True)
 class HessianField:
@@ -132,9 +110,6 @@ class HessianField:
         if self.mixed_plus is None:
             return None
         return 0.5 * (self.mixed_plus + self.mixed_minus)
-
-    def trace(self) -> np.ndarray:
-        return self.diag.sum(axis=0)
 
     def matrix(self) -> np.ndarray:
         """Per-point symmetric matrix with the centered mixed entry.
@@ -171,17 +146,40 @@ class HessianField:
 
 
 def hessian(grid: PeriodicGrid, values: np.ndarray) -> HessianField:
-    """Discrete Hessian of a scalar field on the torus."""
+    """Discrete Hessian of a scalar field on the torus.
+
+    Every stencil is a slice expression on one copy of the field padded by
+    a periodic cell on every side: the centered second difference along
+    each axis, written in place into ``diag``, and on 2-d grids the mixed
+    differences composed of forward/forward and of backward/backward first
+    differences.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError(
             f"field shape {values.shape} does not match grid {grid.shape}"
         )
-    diffs = grid.stencils(values)
-    diag = np.stack([next(diffs) for _ in range(grid.n)])
+    h2 = grid.h**2
+    halo = grid.pad(values)
+    if grid.n == 1:
+        taps = [(halo[2:], halo[:-2])]
+    else:
+        up, down = halo[2:, 1:-1], halo[:-2, 1:-1]
+        right, left = halo[1:-1, 2:], halo[1:-1, :-2]
+        taps = [(up, down), (right, left)]
+    twice = 2.0 * values
+    diag = np.empty((grid.n,) + grid.shape)
+    for out, (fwd, bwd) in zip(diag, taps):
+        np.add(fwd, bwd, out=out)
+        out -= twice
+        out /= h2
     if grid.n == 1:
         return HessianField(grid, diag)
-    return HessianField(grid, diag, mixed_plus=next(diffs), mixed_minus=next(diffs))
+    return HessianField(
+        grid, diag,
+        mixed_plus=(halo[2:, 2:] - up - right + values) / h2,
+        mixed_minus=(values - down - left + halo[:-2, :-2]) / h2,
+    )
 
 
 def write_field(path, grid: PeriodicGrid, values: np.ndarray) -> None:

@@ -29,6 +29,10 @@ from .grid import HessianField, PeriodicGrid, hessian
 logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 50
+# Newton steps allowed to the direct attempt from a warm start, and to
+# each rung of a path in t
+_WARM_NEWTON = 20
+_RUNG_NEWTON = 40
 
 # GMRES settings of the Newton linear solve: one cycle of at most
 # _KRYLOV_STEPS steps.  It stops when the residual meets the looser of a
@@ -326,8 +330,7 @@ def _newton_operators(grid, A, hess, dens, t):
     [1^T/P, 0]] acting on (delta_u, delta_s), with L + t*I applied as one
     variable-coefficient stencil: a weight field per offset, 1/h^2 and t
     folded in.  The offsets are the centre and the taps of
-    ``PeriodicGrid.stencils``: +-1 in 1-d; +-e_1, +-e_2, (1, 1) and
-    (-1, -1) in 2-d.
+    :func:`hessian`: +-1 in 1-d; +-e_1, +-e_2, (1, 1) and (-1, -1) in 2-d.
 
     The preconditioner inverts the Fourier symbol of the same stencil with
     grid-mean weights.  The zero Fourier mode and s form the 2-by-2 block
@@ -523,8 +526,6 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
     NonAdmissible when ``phi0`` is outside the cone.  Returns
     (u, s, SolveReport), the report holding the Hessian and density of u.
     """
-    if max_newton < 1:
-        raise ValueError(f"max_newton must be at least 1, got {max_newton}")
     u = np.asarray(phi0, dtype=float)
     u = u - u.mean()
     hess = hessian(grid, u)
@@ -645,8 +646,7 @@ def _follow_path(geom, index, g, start, t, tol_inner, max_newton):
     return _finalize(geom, g, phi, tol_inner, report)
 
 
-def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
-              warm_start=None):
+def solve_tke(geom, index, g, *, tol_inner=1e-10, warm_start=None):
     """Solve one twisted slice equation for class ``index``.
 
     The equation in the density form is
@@ -656,17 +656,16 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
     solved in log form to the sup-norm tolerance ``tol_inner``.  The
     constant c is recomputed from the exact volume compatibility
     identity before the final residual is recorded.  A warm start gets
-    one direct attempt at t = lam of at most min(max_newton, 20) Newton
-    steps; if it lies outside the cone or that attempt fails, the slice
-    is solved from zero by :func:`continuity_solve`.  For lam = -1 an
+    one direct attempt at t = lam of at most _WARM_NEWTON Newton steps;
+    if it lies outside the cone or that attempt fails, the slice is
+    solved from zero by :func:`continuity_solve`.  For lam = -1 an
     all-zero warm start is where that solve starts, so it goes there at
     once.  Returns (psi, SolveReport), psi shifted to max psi = 0.
     """
     if warm_start is not None and (geom.lam == 1 or np.any(warm_start)):
         try:
             return _follow_path(
-                geom, index, g, warm_start, geom.lam, tol_inner,
-                min(max_newton, 20),
+                geom, index, g, warm_start, geom.lam, tol_inner, _WARM_NEWTON
             )
         except (NonAdmissible, NoConvergence, NonAdmissibleStep):
             logger.debug(
@@ -674,20 +673,19 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, max_newton=40,
                 "solving from zero along the continuity path",
                 index + 1,
             )
-    return continuity_solve(
-        geom, index, g, tol_inner=tol_inner, max_newton=max_newton
-    )
+    return continuity_solve(geom, index, g, tol_inner=tol_inner)
 
 
-def continuity_solve(geom, index, g, *, tol_inner=1e-10, max_newton=40):
+def continuity_solve(geom, index, g, *, tol_inner=1e-10):
     """Solve the slice equation from zero along the parameter path in t.
 
     The path starts at t = min(lam, 0) and ends at t = lam: for lam = -1
     it is the single rung t = -1, the slice equation itself; for lam = +1
     it starts at t = 0, the Calabi-Yau-type equation, and walks the rungs
-    of :func:`_follow_path` up to t = 1.
+    of :func:`_follow_path` up to t = 1, each rung allowed _RUNG_NEWTON
+    Newton steps.
     """
     return _follow_path(
         geom, index, g, np.zeros(geom.grid.shape), min(geom.lam, 0),
-        tol_inner, max_newton,
+        tol_inner, _RUNG_NEWTON,
     )

@@ -167,6 +167,54 @@ def test_criterion_6_second_order_convergence():
     )
 
 
+def test_second_order_convergence_in_two_dimensions():
+    # a manufactured slice: f from the continuum equation at psi*.  The
+    # density averages the forward/forward and backward/backward variants;
+    # either one alone is first order in the mixed entry, a ratio near 2
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    def sup_error(N):
+        grid = PeriodicGrid(2, N)
+        x1, x2 = grid.coords()
+        w = 2 * np.pi
+        target = 0.01 * np.sin(w * x1) * np.cos(w * x2)
+        mixed = -0.01 * w**2 * np.cos(w * x1) * np.sin(w * x2)
+        det = (A[0, 0] - w**2 * target) * (A[1, 1] - w**2 * target) - (
+            A[0, 1] + mixed
+        ) ** 2
+        geom = BackgroundGeometry(
+            grid=grid, lam=-1, A=A[None], f=det * np.exp(-target)
+        )
+        psi, _report = solve_tke(geom, 0, np.zeros(grid.shape))
+        return float(np.abs(psi - (target - target.max())).max())
+
+    errors = [sup_error(N) for N in (16, 32, 64)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.0 <= ratio <= 5.0 for ratio in ratios), (errors, ratios)
+
+
+def test_coupled_self_convergence_in_two_dimensions():
+    # the benchmark's gs2d-n128 problem at N = 16, 32 and 64: the change of
+    # the fixed point under refinement, on the coarse points, falls by ~4
+    def fixed_point(N):
+        cfg = build_run_config({
+            "cri_config": 1, "lambda": -1, "n": 2, "N": N, "k": 2,
+            "A": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]],
+            "f": "1 + 0.3*sin(2*pi*x_1)*cos(2*pi*x_2)",
+            "tol_fixed_point": 1e-11,
+        })
+        state = run(cfg.geometry(), cfg.iteration)
+        assert state.converged, state.reason
+        return state.psis
+
+    psis = [fixed_point(N) for N in (16, 32, 64)]
+    changes = [
+        float(np.abs(coarse - fine[:, ::2, ::2]).max())
+        for coarse, fine in zip(psis, psis[1:])
+    ]
+    assert 3.0 <= changes[0] / changes[1] <= 5.0, changes
+
+
 def test_criterion_7_oracle_equivalence():
     t0 = time.perf_counter()
     geom, config = preset_problem("neg-k2-sine-n8")

@@ -59,13 +59,14 @@ COUNTS = {
 }
 
 
-def _config(name):
+def _config(name, **overrides):
     data = WORKLOADS[name] if name in WORKLOADS else get_preset(name)
-    return build_run_config(data)
+    return build_run_config({**data, **overrides})
 
 
-def _counted_run(monkeypatch, name):
-    """Run ``name``; returns (state, Newton steps, Krylov applications, tols)."""
+def _counted_run(monkeypatch, name, **overrides):
+    """Run ``name`` with ``overrides`` of its config keys; returns (state,
+    Newton steps, Krylov applications, tols)."""
     solve = iteration.solve_tke
     tally = {"newton": 0, "krylov": 0, "tols": []}
 
@@ -77,7 +78,7 @@ def _counted_run(monkeypatch, name):
         return psi, report
 
     monkeypatch.setattr(iteration, "solve_tke", counting)
-    cfg = _config(name)
+    cfg = _config(name, **overrides)
     state = run(cfg.geometry(), cfg.iteration, init=cfg.init)
     monkeypatch.setattr(iteration, "solve_tke", solve)
     return state, tally["newton"], tally["krylov"], tally["tols"]
@@ -96,6 +97,21 @@ def test_lambda_plus_one_start_outside_the_cone_keeps_its_sweeps(monkeypatch):
     assert state.step == 6
     assert newton <= 25
     assert krylov <= 94
+
+
+@pytest.mark.parametrize("name", ["gs2d-n128", "pos2d-n48"])
+def test_solver_counts_do_not_grow_with_the_grid(monkeypatch, name):
+    # The FFT preconditioner inverts the stencil with grid-mean weights, so
+    # its quality does not depend on h.  Sweeps / Newton / Krylov at N = 32
+    # and 128: gs2d-n128 3 / 9 / 21 and 3 / 8 / 19, pos2d-n48 6 / 25 / 93
+    # and 6 / 25 / 97.
+    fine = _counted_run(monkeypatch, name, N=128)
+    coarse = _counted_run(monkeypatch, name, N=32)
+    for state, *_ in (fine, coarse):
+        assert state.converged, state.reason
+    assert coarse[0].step == fine[0].step
+    assert abs(coarse[1] - fine[1]) <= 1
+    assert abs(coarse[2] - fine[2]) <= 0.15 * fine[2]
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS))

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,43 @@ def test_validate_rejects_a_too_deeply_nested_density(tmp_path, capsys, terms):
     assert "configuration invalid" in err
     assert f"expression of {2 * terms + 1} characters is too deeply nested" in err
     assert "lambda" in err
+
+
+_NON_FINITE_EXPRS = ["1/(x_1 - x_1)", "exp(1000*x_1)"]
+
+
+@pytest.mark.parametrize("expr", _NON_FINITE_EXPRS)
+def test_non_finite_field_expression_is_a_violation_of_its_field(expr):
+    # division by zero and overflow reach the non-finite checks, not a
+    # RuntimeWarning out of the expression evaluator
+    for key, value, violation in (
+        ("f", expr, "f evaluates to non-finite values"),
+        ("init", ["0", expr], "init_2 has non-finite values"),
+    ):
+        cfg = get_preset("neg-k2-sine")
+        cfg[key] = value
+        with pytest.raises(ValidationError) as excinfo:
+            build_run_config(cfg)
+        assert excinfo.value.violations == [violation]
+
+
+@pytest.mark.parametrize("expr", _NON_FINITE_EXPRS)
+def test_validate_prints_only_the_violations_of_a_non_finite_field(
+    tmp_path, capsys, expr
+):
+    cfg = get_preset("neg-k2-sine")
+    cfg.update(f=expr, init=[expr, "0"])
+    path = tmp_path / "inf_f.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["validate", str(path)]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "configuration invalid:\n"
+        "  - f evaluates to non-finite values\n"
+        "  - init_1 has non-finite values\n"
+    )
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

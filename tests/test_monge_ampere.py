@@ -732,7 +732,7 @@ def test_positive_sign_warm_start_skips_path():
     assert np.abs(psi2 - psi).max() <= 1e-9
 
 
-def test_positive_sign_direct_solve_respects_newton_budget():
+def test_positive_sign_direct_solve_respects_newton_budget(monkeypatch):
     # the direct attempt from this warm start needs 6 Newton steps; with a
     # budget of 4 it must give up and walk the path within that budget
     g = PeriodicGrid(1, 32)
@@ -743,7 +743,9 @@ def test_positive_sign_direct_solve_respects_newton_budget():
     _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     [(t, iters)] = rep.continuity_trace
     assert t == 1.0 and iters > 4
-    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm, max_newton=4)
+    monkeypatch.setattr(monge_ampere, "_WARM_NEWTON", 4)
+    monkeypatch.setattr(monge_ampere, "_RUNG_NEWTON", 4)
+    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     assert rep.continuity_trace[0][0] == 0.0
     assert all(iters <= 4 for _, iters in rep.continuity_trace)
     assert rep.residual <= 1e-10
@@ -818,27 +820,7 @@ def test_every_slice_solve_ends_its_path_at_t_equal_lambda(lam):
         assert rep.continuity_trace[-1][0] == lam
 
 
-def test_newton_budget_below_one_is_rejected():
-    g = PeriodicGrid(1, 16)
-    x = g.coords()[0]
-    f = 1 + 0.05 * np.sin(2 * np.pi * x)
-    warm = 0.02 * np.cos(2 * np.pi * x)
-    for lam in (-1, 1):
-        geom = BackgroundGeometry(grid=g, lam=lam, A=np.array([[[1.0]]]), f=f)
-        for budget in (0, -1):
-            with pytest.raises(ValueError, match="max_newton"):
-                solve_tke(geom, 0, np.zeros(16), max_newton=budget)
-            with pytest.raises(ValueError, match="max_newton"):
-                solve_tke(
-                    geom, 0, np.zeros(16), warm_start=warm, max_newton=budget
-                )
-    with pytest.raises(ValueError, match="max_newton"):
-        monge_ampere._damped_newton(
-            g, np.array([[1.0]]), np.log(f), 1e-10, np.zeros(16), 0, t=0.0
-        )
-
-
-def test_newton_converging_on_its_last_allowed_step_succeeds():
+def test_newton_converging_on_its_last_allowed_step_succeeds(monkeypatch):
     # from this warm start the direct attempt fails within 3 steps, and
     # the t = 0 rung of the path converges on exactly its third step
     g = PeriodicGrid(1, 32)
@@ -846,7 +828,9 @@ def test_newton_converging_on_its_last_allowed_step_succeeds():
     f = 1 + 0.05 * np.sin(2 * np.pi * x)
     geom = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
     warm = 0.02 * np.cos(2 * np.pi * x)
-    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm, max_newton=3)
+    monkeypatch.setattr(monge_ampere, "_WARM_NEWTON", 3)
+    monkeypatch.setattr(monge_ampere, "_RUNG_NEWTON", 3)
+    _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     assert rep.continuity_trace[0] == (0.0, 3)
     assert all(iters <= 3 for _, iters in rep.continuity_trace)
     assert rep.residual <= 1e-10
