@@ -33,9 +33,7 @@ from .monge_ampere import (
     SolveReport,
     continuity_solve,
     is_admissible,
-    log_ma_linearization,
     ma_density,
-    newton_step,
     solve_tke,
 )
 from .oracle import (
@@ -74,9 +72,7 @@ __all__ = [
     "j_functional",
     "l_functional",
     "load_config_file",
-    "log_ma_linearization",
     "ma_density",
-    "newton_step",
     "oracle_ding_descent",
     "oracle_fixed_point",
     "read_field",

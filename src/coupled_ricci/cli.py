@@ -139,18 +139,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _downsample_config(cfg: RunConfig, target_n: int = 8) -> RunConfig:
+def _downsample_config(cfg: RunConfig) -> RunConfig:
     """Shrink a config onto a coarse grid the dense reference can handle.
 
-    A coarse size of 8 per axis keeps even 2-d problems at the dense
-    limit of 64 points.  A density expression is evaluated again on the
-    coarse grid, density data is sampled at the stride, and every
-    iteration setting carries over.
+    The coarse size is the largest of 8, 6 and 4 that divides N; at most 8
+    per axis keeps even 2-d problems at the dense limit of 64 points.  A
+    density expression is evaluated again on the coarse grid, density data
+    is sampled at the stride, and every iteration setting carries over.
     """
-    coarse_n = min(cfg.N, target_n)
-    if cfg.N % coarse_n:
+    coarse_n = next((size for size in (8, 6, 4) if cfg.N % size == 0), None)
+    if coarse_n is None:
         raise OracleIntractable(
-            f"grid N={cfg.N} is not divisible by the coarse size {coarse_n}"
+            f"grid N={cfg.N} is not divisible by a coarse size 8, 6 or 4"
         )
     if cfg.f_spec and cfg.f_spec != "<data>":
         f = eval_field_expr(cfg.f_spec, PeriodicGrid(n=cfg.n, N=coarse_n))

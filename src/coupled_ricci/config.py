@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .grid import PeriodicGrid, read_field
+from .grid import PeriodicGrid, _is_int, read_field
 from .iteration import IterationConfig
 from .monge_ampere import BackgroundGeometry, class_matrix_problem
 
@@ -139,11 +139,6 @@ def load_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return data
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer; JSON true/false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _has_bool(entry) -> bool:
@@ -319,6 +314,10 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
     except ValidationError as exc:
         problems.extend(exc.violations)
 
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        problems.append(f"name must be a string, got {name!r}")
+
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         problems.append(f"out must be a string path, got {out!r}")
@@ -328,7 +327,7 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
         raise ValidationError(problems)
 
     return RunConfig(
-        name=str(data.get("name", name)),
+        name=name,
         lam=lam,
         n=n,
         N=N,

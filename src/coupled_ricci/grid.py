@@ -8,12 +8,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ParseError, UnsupportedDimension
 
 _FIELD_HEADER = re.compile(r"^CRI-FIELD v1 n=(\d+) N=(\d+)\s*$")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; booleans are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -24,11 +30,11 @@ class PeriodicGrid:
     N: int
 
     def __post_init__(self):
-        if self.n not in (1, 2):
+        if not _is_int(self.n) or self.n not in (1, 2):
             raise UnsupportedDimension(
                 f"grid dimension must be 1 or 2, got {self.n}"
             )
-        if self.N < 4 or self.N % 2 != 0:
+        if not _is_int(self.N) or self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
 
     @property
@@ -59,14 +65,6 @@ class PeriodicGrid:
                 f"field shape {values.shape} does not match grid {self.shape}"
             )
         return float(values.sum() * self.h**self.n)
-
-    def second_diff(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Centered second difference along one axis."""
-        return (
-            np.roll(values, -1, axis=axis)
-            + np.roll(values, 1, axis=axis)
-            - 2.0 * values
-        ) / self.h**2
 
     def pad(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Copy a field into ``out`` padded by one periodic cell on every side.
@@ -100,7 +98,6 @@ class HessianField:
     integration-by-parts identities exact.
     """
 
-    grid: PeriodicGrid
     diag: np.ndarray
     mixed_plus: np.ndarray | None = None
     mixed_minus: np.ndarray | None = None
@@ -110,39 +107,6 @@ class HessianField:
         if self.mixed_plus is None:
             return None
         return 0.5 * (self.mixed_plus + self.mixed_minus)
-
-    def matrix(self) -> np.ndarray:
-        """Per-point symmetric matrix with the centered mixed entry.
-
-        Shape (*grid.shape, n, n).
-        """
-        n = self.grid.n
-        out = np.zeros(self.grid.shape + (n, n))
-        for a in range(n):
-            out[..., a, a] = self.diag[a]
-        if n == 2:
-            q = self.mixed_centered
-            out[..., 0, 1] = q
-            out[..., 1, 0] = q
-        return out
-
-    def variant_matrices(self) -> list:
-        """The one-sided Hessian variants as per-point symmetric matrices.
-
-        n=1 has a single variant (no mixed entry); n=2 has two.
-        """
-        n = self.grid.n
-        if n == 1:
-            return [self.matrix()]
-        variants = []
-        for q in (self.mixed_plus, self.mixed_minus):
-            m = np.zeros(self.grid.shape + (2, 2))
-            m[..., 0, 0] = self.diag[0]
-            m[..., 1, 1] = self.diag[1]
-            m[..., 0, 1] = q
-            m[..., 1, 0] = q
-            variants.append(m)
-        return variants
 
 
 def hessian(grid: PeriodicGrid, values: np.ndarray) -> HessianField:
@@ -174,9 +138,9 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> HessianField:
         out -= twice
         out /= h2
     if grid.n == 1:
-        return HessianField(grid, diag)
+        return HessianField(diag)
     return HessianField(
-        grid, diag,
+        diag,
         mixed_plus=(halo[2:, 2:] - up - right + values) / h2,
         mixed_minus=(values - down - left + halo[:-2, :-2]) / h2,
     )

@@ -15,7 +15,7 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spsolve  # noqa: F401  perfbench/tracer.py wraps spsolve here
 
 from .errors import (
     ContinuityBreakdown,
@@ -24,7 +24,7 @@ from .errors import (
     NonAdmissibleStep,
     ValidationError,
 )
-from .grid import HessianField, PeriodicGrid, hessian
+from .grid import HessianField, PeriodicGrid, _is_int, hessian
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +81,7 @@ class BackgroundGeometry:
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
         problems = []
-        if self.lam not in (-1, 1):
+        if not _is_int(self.lam) or self.lam not in (-1, 1):
             problems.append(f"lambda must be -1 or +1, got {self.lam}")
         n = self.grid.n
         if self.A.ndim != 3 or self.A.shape[1:] != (n, n):
@@ -135,7 +135,7 @@ def _variant_dets(grid, A, hess: HessianField):
     return dets
 
 
-def ma_density(grid, A, psi=None, hess=None) -> np.ndarray:
+def ma_density(grid, A, psi) -> np.ndarray:
     """Discrete Monge-Ampere density det(A + D^2 psi).
 
     On 2-d grids this is the average of the two one-sided variant
@@ -143,9 +143,7 @@ def ma_density(grid, A, psi=None, hess=None) -> np.ndarray:
     use :func:`is_admissible` to test cone membership.
     """
     A = np.asarray(A, dtype=float)
-    if hess is None:
-        hess = hessian(grid, psi)
-    dets = _variant_dets(grid, A, hess)
+    dets = _variant_dets(grid, A, hessian(grid, psi))
     return sum(dets) / len(dets)
 
 
@@ -162,12 +160,10 @@ def _cone_density(grid, A, hess: HessianField):
     return sum(dets) / len(dets)
 
 
-def is_admissible(grid, A, psi=None, hess=None) -> bool:
+def is_admissible(grid, A, psi) -> bool:
     """Whether every variant matrix A + H is positive definite everywhere."""
     A = np.asarray(A, dtype=float)
-    if hess is None:
-        hess = hessian(grid, psi)
-    return _cone_density(grid, A, hess) is not None
+    return _cone_density(grid, A, hessian(grid, psi)) is not None
 
 
 @dataclass
@@ -237,15 +233,16 @@ def _operator_matrices(grid: PeriodicGrid) -> dict:
     }
 
 
-def log_ma_linearization(grid, A, psi=None, hess=None) -> sp.csr_matrix:
+def log_ma_linearization(grid, A, psi) -> sp.csr_matrix:
     """Sparse derivative of log ma_density at the given admissible field.
 
     This is the operator L in the Newton systems; it annihilates
     constants and is negative semidefinite on admissible backgrounds.
+    The solvers apply L matrix-free; this assembled form is the reference
+    the tests build their Newton systems from.
     """
     A = np.asarray(A, dtype=float)
-    if hess is None:
-        hess = hessian(grid, psi)
+    hess = hessian(grid, psi)
     dens = _cone_density(grid, A, hess)
     if dens is None:
         raise NonAdmissible("cannot linearize at a non-admissible field")
@@ -264,58 +261,6 @@ def log_ma_linearization(grid, A, psi=None, hess=None) -> sp.csr_matrix:
         - sp.diags(inv * qm) @ ops["qm"]
     )
     return mat.tocsr()
-
-
-# ---------------------------------------------------------------------------
-# assembled Newton reference
-
-
-def newton_step(grid, A, lam, rhs, phi, s=0.0, t=1.0):
-    """One Newton direction for the log-form slice residual.
-
-    For lam=-1 the unknown is the unnormalized potential phi with
-    residual log ma_density(A, phi) - phi - rhs; the multiplicative
-    constant is absorbed into phi, which eliminates it in closed form.
-    Returns (delta_phi, 0.0, predicted_residual).
-
-    For lam=+1 the residual is log ma_density + t*phi - rhs - s with the
-    mean-zero constraint bordered in as an extra row and the constant s
-    as the matching extra unknown.  Returns (delta_phi, delta_s,
-    predicted_residual).
-    """
-    phi = np.asarray(phi, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    hess = hessian(grid, phi)
-    if not is_admissible(grid, A, hess=hess):
-        raise NonAdmissible("newton_step requires an admissible iterate")
-    dens = ma_density(grid, A, hess=hess)
-    lin = log_ma_linearization(grid, A, hess=hess)
-    P = grid.num_points
-    if lam == -1:
-        res = np.log(dens) - phi - rhs
-        jac = (lin - sp.identity(P)).tocsc()
-        delta = spsolve(jac, -res.ravel()).reshape(grid.shape)
-        predicted = float(
-            np.abs(res.ravel() + jac @ delta.ravel()).max()
-        )
-        return delta, 0.0, predicted
-    if lam != 1:
-        raise ValueError(f"lambda must be -1 or +1, got {lam}")
-    res = np.log(dens) + t * phi - rhs - s
-    ones = np.ones((P, 1))
-    jac = sp.bmat(
-        [
-            [lin + t * sp.identity(P), -ones],
-            [ones.T / P, None],
-        ],
-        format="csc",
-    )
-    full_res = np.concatenate([res.ravel(), [phi.mean()]])
-    sol = spsolve(jac, -full_res)
-    delta = sol[:P].reshape(grid.shape)
-    delta_s = float(sol[P])
-    predicted = float(np.abs(full_res + jac @ sol).max())
-    return delta, delta_s, predicted
 
 
 # ---------------------------------------------------------------------------

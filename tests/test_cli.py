@@ -72,6 +72,20 @@ def test_validate_rejects_a_too_deeply_nested_density(tmp_path, capsys, terms):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("name", [None, 7, ["a"]])
+def test_config_name_must_be_a_string(tmp_path, capsys, name):
+    # str() used to turn "name": null into the output directory cri-out-None
+    cfg = get_preset("neg-k2-sine")
+    cfg["name"] = name
+    with pytest.raises(ValidationError) as excinfo:
+        build_run_config(cfg)
+    assert excinfo.value.violations == [f"name must be a string, got {name!r}"]
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["validate", str(path)]) == 1
+    assert "name must be a string" in capsys.readouterr().err
+
+
 _NON_FINITE_EXPRS = ["1/(x_1 - x_1)", "exp(1000*x_1)"]
 
 
@@ -380,9 +394,21 @@ def test_oracle_verb_two_dimensional(capsys):
     assert max(report["psi_sup_err"]) <= 1e-8
 
 
-def test_oracle_verb_rejects_indivisible_grid(tmp_path, capsys):
+def test_oracle_verb_shrinks_a_grid_of_twelve_to_six(tmp_path, capsys):
     cfg = get_preset("neg-k2-sine")
     cfg["N"] = 12
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["oracle", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["N"] == 6
+    assert max(report["psi_sup_err"]) <= 1e-8
+
+
+def test_oracle_verb_rejects_indivisible_grid(tmp_path, capsys):
+    # 10 has no divisor among the coarse sizes 8, 6 and 4
+    cfg = get_preset("neg-k2-sine")
+    cfg["N"] = 10
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(cfg))
     assert run_cli(["oracle", str(path)]) == 1

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from coupled_ricci import monge_ampere
 from coupled_ricci import (
@@ -13,9 +14,7 @@ from coupled_ricci import (
     dense_newton,
     hessian,
     is_admissible,
-    log_ma_linearization,
     ma_density,
-    newton_step,
     run,
     solve_tke,
 )
@@ -25,8 +24,10 @@ from coupled_ricci.errors import (
     NonAdmissible,
     ValidationError,
 )
+from coupled_ricci.monge_ampere import log_ma_linearization
 
 from cone_margin import admissibility_margin
+from hessian_reference import point_matrices, roll_stencils
 
 
 def make_geom(n=1, N=16, lam=-1, k=1, a=1.0, f=None):
@@ -54,6 +55,24 @@ def test_geometry_collects_all_violations():
     assert "lambda" in text
     assert "A_1" in text
     assert "positive" in text
+
+
+@pytest.mark.parametrize("lam", [True, 1.0, -1.0, np.float64(1)])
+def test_geometry_rejects_a_sign_that_is_not_an_integer(lam):
+    grid = PeriodicGrid(1, 8)
+    with pytest.raises(ValidationError) as err:
+        BackgroundGeometry(
+            grid=grid, lam=lam, A=np.ones((1, 1, 1)), f=np.ones(grid.shape)
+        )
+    assert err.value.violations == [f"lambda must be -1 or +1, got {lam}"]
+
+
+def test_geometry_accepts_a_numpy_integer_sign():
+    grid = PeriodicGrid(1, 8)
+    geom = BackgroundGeometry(
+        grid=grid, lam=np.int64(-1), A=np.ones((1, 1, 1)), f=np.ones(grid.shape)
+    )
+    assert geom.lam == -1
 
 
 @pytest.mark.parametrize("n, A", [
@@ -107,7 +126,7 @@ def test_density_matches_symbolic_two_by_two():
     x1, _ = g.coords()
     psi = 0.01 * np.cos(2 * np.pi * x1)
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    d11 = g.second_diff(psi, 0)
+    d11 = roll_stencils(g, psi)[0]
     np.testing.assert_allclose(
         ma_density(g, A, psi), (1.0 + d11) * 1.0, rtol=0, atol=1e-14
     )
@@ -119,7 +138,10 @@ def test_density_is_average_of_variant_determinants():
     A = np.array([[1.2, 0.3], [0.3, 0.9]])
     psi = 2e-3 * rng.standard_normal(g.shape)
     h = hessian(g, psi)
-    dets = [np.linalg.det(A + v) for v in h.variant_matrices()]
+    dets = [
+        np.linalg.det(A + point_matrices(h, q))
+        for q in (h.mixed_plus, h.mixed_minus)
+    ]
     np.testing.assert_allclose(
         ma_density(g, A, psi), 0.5 * (dets[0] + dets[1]), rtol=1e-12
     )
@@ -192,7 +214,7 @@ def test_is_admissible_matches_margin_sign(n, N):
 
 
 # ---------------------------------------------------------------------------
-# linearization and newton_step
+# linearization
 
 
 def test_linearization_matches_finite_differences():
@@ -240,33 +262,8 @@ def test_newton_step_vanishes_at_solution():
     psi, rep = solve_tke(geom, 0, np.zeros(16))
     assert rep.newton_iterations == 0
     phi = psi + np.log(rep.c)
-    delta, ds, predicted = newton_step(
-        geom.grid, geom.A[0], -1, np.log(geom.f), phi
-    )
-    assert np.abs(delta).max() <= 1e-12
-    assert predicted <= 1e-12
-
-
-def test_newton_step_requires_admissible_iterate():
-    g = PeriodicGrid(1, 4)
-    x = g.coords()[0]
-    with pytest.raises(NonAdmissible):
-        newton_step(g, np.array([[1.0]]), -1, np.zeros(4), np.cos(2 * np.pi * x))
-
-
-def test_newton_step_bordered_form():
-    g = PeriodicGrid(1, 16)
-    x = g.coords()[0]
-    A = np.array([[1.0]])
-    rhs = 0.1 * np.sin(2 * np.pi * x)
-    phi = np.zeros(16)
-    res0 = np.abs(np.log(ma_density(g, A, phi)) + phi - rhs - 0.0).max()
-    delta, ds, predicted = newton_step(g, A, 1, rhs, phi, s=0.0, t=1.0)
-    phi1 = phi + delta
-    s1 = ds
-    res1 = np.abs(np.log(ma_density(g, A, phi1)) + phi1 - rhs - s1).max()
-    assert res1 < 0.2 * res0
-    assert abs(phi1.mean()) <= 1e-12
+    res = np.log(ma_density(geom.grid, geom.A[0], phi)) - phi - np.log(geom.f)
+    assert np.abs(res).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def test_matrix_free_operator_matches_assembled_jacobian(n, N, t):
     g, A, phi, rng = _random_admissible(n, N, 20)
     hess = hessian(g, phi)
     matvec, _ = monge_ampere._newton_operators(
-        g, A, hess, ma_density(g, A, hess=hess), t
+        g, A, hess, ma_density(g, A, phi), t
     )
     ref = _assembled_system(g, A, phi, t)
     for _ in range(3):
@@ -314,10 +311,12 @@ def test_krylov_direction_matches_newton_step(n, N, t):
     g, A, phi, rng = _random_admissible(n, N, 21)
     rhs = 0.1 * rng.standard_normal(g.shape)
     hess = hessian(g, phi)
-    dens = ma_density(g, A, hess=hess)
+    dens = ma_density(g, A, phi)
     s = 0.05
     res = np.log(dens) + t * phi - rhs - s
-    want, want_s, _ = newton_step(g, A, 1, rhs, phi, s=s, t=t)
+    full_res = np.concatenate([res.ravel(), [phi.mean()]])
+    sol = spsolve(_assembled_system(g, A, phi, t).tocsc(), -full_res)
+    want, want_s = sol[:-1].reshape(g.shape), sol[-1]
     got, got_s, its = monge_ampere._newton_direction(
         g, A, hess, dens, res, 2.5e-11, t, phi.mean()
     )
@@ -325,9 +324,12 @@ def test_krylov_direction_matches_newton_step(n, N, t):
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     assert got_s == pytest.approx(want_s, rel=0, abs=1e-10 * max(1.0, abs(want_s)))
     if t == -1.0:
-        # the rung at t = -1 is the lam = -1 equation for phi + s, and its
-        # Newton step moves phi + s by the lam = -1 step of newton_step
-        want_phi, _, _ = newton_step(g, A, -1, rhs, phi + s)
+        # the rung at t = -1 is the lam = -1 equation for u = phi + s, and
+        # its Newton step moves u by the step of log ma_density(u) - u - rhs
+        u = phi + s
+        jac = log_ma_linearization(g, A, u) - sp.identity(g.num_points)
+        res_u = np.log(ma_density(g, A, u)) - u - rhs
+        want_phi = spsolve(jac.tocsc(), -res_u.ravel()).reshape(g.shape)
         tol = 1e-10 * max(1.0, np.abs(want_phi).max())
         assert np.abs(got + got_s - want_phi).max() <= tol
 
