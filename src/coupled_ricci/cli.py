@@ -56,19 +56,20 @@ def _summary_value(value):
     return value if np.isfinite(value) else None
 
 
-def _write_run_outputs(out_dir, cfg: RunConfig, state) -> None:
+def _write_run_outputs(out_dir, state) -> None:
+    geom = state.geom
     os.makedirs(out_dir, exist_ok=True)
     state.ledger.to_csv(os.path.join(out_dir, "ledger.csv"))
 
     rows = state.ledger.rows
     final_d = rows[-1]["D"] if rows else float("nan")
     summary = {
-        "mode": cfg.iteration.mode,
-        "accel": cfg.iteration.accel,
-        "lambda": cfg.lam,
-        "n": cfg.n,
-        "N": cfg.N,
-        "k": cfg.k,
+        "mode": state.config.mode,
+        "accel": state.config.accel,
+        "lambda": geom.lam,
+        "n": geom.grid.n,
+        "N": geom.grid.N,
+        "k": geom.k,
         "steps": state.step,
         "extrapolations": {
             "accepted": state.extrapolations_accepted,
@@ -84,9 +85,9 @@ def _write_run_outputs(out_dir, cfg: RunConfig, state) -> None:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 
-    for i in range(cfg.k):
+    for i in range(geom.k):
         write_field(
-            os.path.join(out_dir, f"psi_{i + 1}.field"), cfg.grid, state.psis[i]
+            os.path.join(out_dir, f"psi_{i + 1}.field"), geom.grid, state.psis[i]
         )
 
     rho_cols = [name for name in state.ledger.columns if name.startswith("rho_max_")]
@@ -110,10 +111,9 @@ def cmd_run(args) -> int:
     if args.mode is not None:
         overrides["mode"] = {"gs": "gauss_seidel", "jacobi": "jacobi"}[args.mode]
     cfg = _resolve_config(args.config, overrides)
-    geom = cfg.geometry()
-    state = run(geom, cfg.iteration, init=cfg.init)
+    state = run(cfg.geom, cfg.iteration, init=cfg.init)
     out_dir = cfg.out or f"cri-out-{cfg.name}"
-    _write_run_outputs(out_dir, cfg, state)
+    _write_run_outputs(out_dir, state)
     print(
         f"{cfg.name}: {state.reason} after {state.step} steps "
         f"(outputs in {out_dir})"
@@ -132,8 +132,9 @@ def _exit_code(state) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _resolve_config(args.config)
+    geom = cfg.geom
     print(
-        f"OK: lambda={cfg.lam} n={cfg.n} N={cfg.N} k={cfg.k} "
+        f"OK: lambda={geom.lam} n={geom.grid.n} N={geom.grid.N} k={geom.k} "
         f"mode={cfg.iteration.mode} f={cfg.f_spec!r}"
     )
     return EXIT_OK
@@ -147,18 +148,19 @@ def _downsample_config(cfg: RunConfig) -> RunConfig:
     density expression is evaluated again on the coarse grid, density data
     is sampled at the stride, and every iteration setting carries over.
     """
-    coarse_n = next((size for size in (8, 6, 4) if cfg.N % size == 0), None)
+    grid = cfg.geom.grid
+    coarse_n = next((size for size in (8, 6, 4) if grid.N % size == 0), None)
     if coarse_n is None:
         raise OracleIntractable(
-            f"grid N={cfg.N} is not divisible by a coarse size 8, 6 or 4"
+            f"grid N={grid.N} is not divisible by a coarse size 8, 6 or 4"
         )
-    if cfg.f_spec and cfg.f_spec != "<data>":
-        f = eval_field_expr(cfg.f_spec, PeriodicGrid(n=cfg.n, N=coarse_n))
+    coarse = PeriodicGrid(n=grid.n, N=coarse_n)
+    if cfg.f_spec != "<data>":
+        f = eval_field_expr(cfg.f_spec, coarse)
     else:
-        f = cfg.f[(slice(None, None, cfg.N // coarse_n),) * cfg.n].copy()
-    return dataclasses.replace(
-        cfg, name=cfg.name + "-coarse", N=coarse_n, f=f, init=None
-    )
+        f = cfg.geom.f[(slice(None, None, grid.N // coarse_n),) * grid.n].copy()
+    geom = dataclasses.replace(cfg.geom, grid=coarse, f=f)
+    return dataclasses.replace(cfg, name=cfg.name + "-coarse", geom=geom, init=None)
 
 
 def compare_oracle(geom, engine_psis, oracle_psis, oracle_d) -> dict:
@@ -175,7 +177,7 @@ def compare_oracle(geom, engine_psis, oracle_psis, oracle_d) -> dict:
 def cmd_oracle(args) -> int:
     cfg = _resolve_config(args.config)
     coarse = _downsample_config(cfg)
-    geom = coarse.geometry()
+    geom = coarse.geom
     state = run(geom, coarse.iteration)
     if not state.converged:
         print(f"engine did not converge on the coarse problem: {state.reason}")
@@ -189,7 +191,7 @@ def cmd_oracle(args) -> int:
         print(f"reference solver {solver} failed on the coarse problem: {exc}")
         return EXIT_INNER_FAILURE
     report = compare_oracle(geom, state.psis, psis_ref, d_ref)
-    report["N"] = coarse.N
+    report["N"] = geom.grid.N
     report["oracle_newton_iterations"] = newton_iters
     report["descent_D_err"] = float(abs(d_desc - d_ref))
     report["descent_iterations"] = descent_iters

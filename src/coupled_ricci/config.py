@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,26 +104,17 @@ def eval_field_expr(expr: str, grid: PeriodicGrid) -> np.ndarray:
 
 @dataclass
 class RunConfig:
-    """A fully validated run description."""
+    """A fully validated run description around the problem ``geom``."""
 
     name: str
-    lam: int
-    n: int
-    N: int
-    k: int
-    A: np.ndarray
-    f: np.ndarray
+    geom: BackgroundGeometry
     f_spec: str
     init: np.ndarray | None
-    iteration: IterationConfig = field(default_factory=IterationConfig)
-    out: str | None = None
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return PeriodicGrid(n=self.n, N=self.N)
+    iteration: IterationConfig
+    out: str | None
 
     def geometry(self) -> BackgroundGeometry:
-        return BackgroundGeometry(grid=self.grid, lam=self.lam, A=self.A, f=self.f)
+        return self.geom
 
 
 def load_config_file(path) -> dict:
@@ -278,7 +269,8 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
         if f_entry is None:
             problems.append("f is required")
         else:
-            f_spec = f_entry if isinstance(f_entry, str) else "<data>"
+            expr = f_entry.get("expr") if isinstance(f_entry, dict) else f_entry
+            f_spec = expr if isinstance(expr, str) else "<data>"
             f_values = _load_field_entry(f_entry, grid, "f", problems)
         if f_values is not None:
             if not np.all(np.isfinite(f_values)):
@@ -328,12 +320,7 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
 
     return RunConfig(
         name=name,
-        lam=lam,
-        n=n,
-        N=N,
-        k=k,
-        A=a_mats,
-        f=f_values,
+        geom=BackgroundGeometry(grid=grid, lam=lam, A=a_mats, f=f_values),
         f_spec=f_spec,
         init=init_values,
         iteration=iteration,

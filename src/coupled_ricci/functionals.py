@@ -255,20 +255,14 @@ class EnergyLedger:
         return np.array([row[name] for row in self.rows])
 
     def to_csv(self, path) -> None:
+        # step, the energy columns, inner_iters and wall_ms, each line ended
+        # by \r\n as csv.writer ends it
+        energies = ["%.17g"] * (len(self.columns) - 3)
+        line = ",".join(["%d", *energies, "%d", "%.3f"]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
+            fh.write(",".join(self.columns) + "\r\n")
             for row in self.rows:
-                out = []
-                for name in self.columns:
-                    value = row[name]
-                    if name in ("step", "inner_iters"):
-                        out.append(str(int(value)))
-                    elif name == "wall_ms":
-                        out.append("%.3f" % value)
-                    else:
-                        out.append("%.17g" % value)
-                writer.writerow(out)
+                fh.write(line % tuple(row[name] for name in self.columns))
 
     @classmethod
     def from_csv(cls, path) -> "EnergyLedger":

@@ -403,8 +403,7 @@ def _krylov_solve(matvec, psolve, b, rtol, atol):
     return y @ directions[:k], abs(g[k]) <= target, k
 
 
-def _newton_direction(grid, A, hess, dens, res, tol, t, mean,
-                      rtol=_KRYLOV_RTOL):
+def _newton_direction(grid, A, hess, dens, res, tol, t, mean, rtol):
     """Newton direction by FFT-preconditioned GMRES.
 
     Solves the system of :func:`_newton_operators` for the right-hand

@@ -17,6 +17,13 @@ from .functionals import ding
 from .monge_ampere import BackgroundGeometry, is_admissible, ma_density
 
 _MAX_POINTS = 64
+_NEWTON_TOL = 1e-12  # times max(1, max_i det A_i)
+_NEWTON_STEPS = 80
+# A _GRAD_TOL much below 1e-6 drives the descent's Armijo test into the
+# rounding floor of the energy differences, and the step size collapses.
+_GRAD_TOL = 1e-6
+_DESCENT_STEPS = 200000
+_STEP0 = 0.1
 
 
 def fd_jacobian(residual_fn, u, r0):
@@ -104,13 +111,13 @@ class StackedSystem:
         return self.join(psis, cs)
 
 
-def oracle_fixed_point(geom: BackgroundGeometry, tol=1e-12, max_iter=80):
+def oracle_fixed_point(geom: BackgroundGeometry):
     """Solve the whole coupled system at once, dense and sweep-free.
 
     Newton stops once the density-form residual is below
-    ``tol`` * max(1, max_i det A_i), the scale of the densities.  Returns (psis, cs, ding_value,
-    iterations) with mean-zero potentials.  Only sensible for tiny grids;
-    refuses more than 64 points per class.
+    ``_NEWTON_TOL`` * max(1, max_i det A_i), the scale of the densities.
+    Returns (psis, cs, ding_value, iterations) with mean-zero potentials.
+    Only sensible for tiny grids; refuses more than 64 points per class.
     """
     if geom.grid.num_points > _MAX_POINTS:
         raise OracleIntractable(
@@ -120,7 +127,7 @@ def oracle_fixed_point(geom: BackgroundGeometry, tol=1e-12, max_iter=80):
     system = StackedSystem(geom)
     scale = max(1.0, float(geom.volumes.max()))
     u, iterations = dense_newton(system.residual, system.initial_guess(),
-                                 tol=tol * scale, max_iter=max_iter)
+                                 _NEWTON_TOL * scale, _NEWTON_STEPS)
     psis, cs = system.split(u)
     for i in range(geom.k):
         if not is_admissible(geom.grid, geom.A[i], psis[i]):
@@ -131,8 +138,7 @@ def oracle_fixed_point(geom: BackgroundGeometry, tol=1e-12, max_iter=80):
     return psis, np.array(cs), ding(geom, psis), iterations
 
 
-def oracle_ding_descent(geom: BackgroundGeometry, grad_tol=1e-6,
-                        max_iter=200000, step0=0.1):
+def oracle_ding_descent(geom: BackgroundGeometry):
     """Minimize the Ding functional by plain gradient descent.
 
     The descent direction is the pointwise variational gradient
@@ -151,7 +157,7 @@ def oracle_ding_descent(geom: BackgroundGeometry, grad_tol=1e-6,
     psis = np.zeros((geom.k,) + grid.shape)
     energy = ding(geom, psis)
     trace = [energy]
-    eta = step0
+    eta = _STEP0
 
     def gradient(fields):
         weight = np.exp(-geom.lam * fields.sum(axis=0)) * geom.f
@@ -162,9 +168,9 @@ def oracle_ding_descent(geom: BackgroundGeometry, grad_tol=1e-6,
             grads[i] = -dens / vols[i] + weight / z
         return grads
 
-    for iteration in range(max_iter):
+    for iteration in range(_DESCENT_STEPS):
         grads = gradient(psis)
-        if float(np.abs(grads).max()) <= grad_tol:
+        if float(np.abs(grads).max()) <= _GRAD_TOL:
             return psis, energy, trace, iteration
         gsq = sum(grid.integrate(g * g) for g in grads)
         while True:
@@ -181,8 +187,8 @@ def oracle_ding_descent(geom: BackgroundGeometry, grad_tol=1e-6,
                 raise NoConvergence("descent step size collapsed")
         psis, energy = cand, cand_energy
         trace.append(energy)
-        eta = min(eta * 1.3, 100.0 * step0)
+        eta = min(eta * 1.3, 100.0 * _STEP0)
     raise NoConvergence(
-        f"gradient descent did not reach grad_tol={grad_tol} "
-        f"in {max_iter} iterations"
+        f"gradient descent did not reach grad_tol={_GRAD_TOL} "
+        f"in {_DESCENT_STEPS} iterations"
     )

@@ -194,7 +194,7 @@ def test_finalize_and_final_rho_max_build_no_hessian(monkeypatch, name):
     assert not [s for s in stacks if {"_finalize", "final_rho_max"} & s]
     # the start-up builds one Hessian per class, which the step-0 row reuses
     startup = [s for s in stacks if "_start" in s]
-    assert len(startup) == cfg.k
+    assert len(startup) == cfg.geom.k
 
 
 def test_final_rho_max_is_nan_when_the_returned_tuple_has_no_row(monkeypatch):

@@ -1,15 +1,17 @@
 import csv
+import dataclasses
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coupled_ricci import cli, monge_ampere
 from coupled_ricci.cli import _downsample_config, main
-from coupled_ricci.config import build_run_config
+from coupled_ricci.config import build_run_config, eval_field_expr
 from coupled_ricci.errors import NoConvergence, ValidationError
-from coupled_ricci.grid import read_field
+from coupled_ricci.grid import PeriodicGrid, read_field, write_field
 from coupled_ricci.scenarios import PRESETS, get_preset
 
 
@@ -312,7 +314,7 @@ def test_oracle_config_keeps_every_iteration_setting():
     cfg.update(tol_inner=1e-9, max_outer=7)
     fine = build_run_config(cfg)
     coarse = _downsample_config(fine)
-    assert coarse.N == 8
+    assert coarse.geom.grid.N == 8
     assert coarse.iteration == fine.iteration
 
 
@@ -619,14 +621,12 @@ def test_field_entry_forms(tmp_path):
 
     expr_cfg = build_run_config({**base, "f": {"expr": "1 + 0.25*sin(2*pi*x_1)"}})
     flat_cfg = build_run_config({**base, "f": values})
-    np.testing.assert_allclose(expr_cfg.f, flat_cfg.f, rtol=1e-15)
-
-    from coupled_ricci.grid import PeriodicGrid, write_field
+    np.testing.assert_allclose(expr_cfg.geom.f, flat_cfg.geom.f, rtol=1e-15)
 
     path = tmp_path / "f.field"
     write_field(path, PeriodicGrid(1, 8), np.array(values))
     file_cfg = build_run_config({**base, "f": {"file": str(path)}})
-    np.testing.assert_array_equal(file_cfg.f, np.array(values))
+    np.testing.assert_array_equal(file_cfg.geom.f, np.array(values))
 
 
 def test_init_entries_accept_expression_strings():
@@ -638,10 +638,159 @@ def test_init_entries_accept_expression_strings():
     assert built.init[0].max() == pytest.approx(0.001, rel=1e-12)
     assert built.f_spec == cfg["f"]
     cfg["f"] = {"expr": cfg["f"]}
-    assert build_run_config(cfg).f_spec == "<data>"
+    assert build_run_config(cfg).f_spec == built.f_spec
     cfg["init"] = ["cos(", "x_3"]
     with pytest.raises(ValidationError) as excinfo:
         build_run_config(cfg)
     [first, second] = excinfo.value.violations
     assert first.startswith("init_1: expression 'cos('")
     assert second == "init_2: expression 'x_3': unknown name 'x_3'"
+
+
+_SMALL_1D = {"cri_config": 1, "lambda": -1, "n": 1, "N": 8, "k": 1, "A": [1.0], "f": "1"}
+
+
+def test_run_config_holds_the_geometry_it_validated():
+    cfg = build_run_config(get_preset("neg-k2-sine"))
+    assert [field.name for field in dataclasses.fields(cfg)] == [
+        "name", "geom", "f_spec", "init", "iteration", "out",
+    ]
+    assert cfg.geometry() is cfg.geometry()
+    assert cfg.geometry() is cfg.geom
+
+
+@pytest.mark.parametrize("spelling", ["bare", "dict"])
+def test_both_expression_spellings_validate_and_shrink_alike(
+    tmp_path, capsys, spelling
+):
+    expr = "1 + 0.5*sin(2*pi*x_1)"
+    f = expr if spelling == "bare" else {"expr": expr}
+    data = {**_SMALL_1D, "N": 48, "f": f}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"OK: lambda=-1 n=1 N=48 k=1 mode=gauss_seidel f={expr!r}\n"
+    )
+    coarse = _downsample_config(build_run_config(data)).geom
+    assert coarse.grid.N == 8
+    np.testing.assert_array_equal(
+        coarse.f, eval_field_expr(expr, PeriodicGrid(1, 8))
+    )
+
+
+# ---------------------------------------------------------------------------
+# config defects one at a time
+
+_ABSENT = object()
+_INVALID = "configuration invalid:\n  - {}\n"
+_REJECTED = {
+    "bad-literal": ({"f": "'a'"}, "f: expression \"'a'\": bad literal 'a'"),
+    "unknown-function": (
+        {"f": "sqrt(x_1)"},
+        "f: expression 'sqrt(x_1)': only sin/cos/exp of one argument",
+    ),
+    "unsupported-syntax": (
+        {"f": "x_1**2"},
+        "f: expression 'x_1**2': unsupported syntax "
+        "BinOp(Name('x_1', Load()), Pow(), Constant(2))",
+    ),
+    "2d-class-matrix-as-number": (
+        {"n": 2, "A": [2.0]}, "A_1: expected a 2x2 row-major matrix, got shape ()"
+    ),
+    "non-symmetric-class-matrix": (
+        {"n": 2, "A": [[[1.0, 0.5], [0.0, 1.0]]]}, "A_1 is not symmetric"
+    ),
+    "expr-and-file": (
+        {"f": {"expr": "1", "file": "n1-N16.field"}},
+        "f: dict form must be {'expr': ...} or {'file': ...}",
+    ),
+    "file-of-another-grid": (
+        {"f": {"file": "n1-N16.field"}},
+        "f: field file grid n=1 N=16 does not match config n=1 N=8",
+    ),
+    "flat-f-of-wrong-length": (
+        {"f": [1.0] * 7}, "f: flat array must have 8 values, got 7"
+    ),
+    "number-as-field": ({"f": 1.5}, "f: unsupported field specification float"),
+    "A-with-k-plus-one-entries": (
+        {"A": [1.0, 1.0]}, "A must be a list of 1 class matrices"
+    ),
+    "no-f": ({"f": _ABSENT}, "f is required"),
+    "init-neither-zero-nor-list": (
+        {"init": "ones"}, 'init must be "zero" or a list of 1 fields'
+    ),
+    "out-not-a-string": ({"out": 3}, "out must be a string path, got 3"),
+}
+_UNREADABLE = {
+    "invalid-json": (
+        '{"n": }',
+        "error: {path}: invalid JSON: Expecting value: line 1 column 7 (char 6)\n",
+    ),
+    "top-level-array": ("[1]", "error: {path}: top level must be a JSON object\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED) + sorted(_UNREADABLE))
+def test_each_config_defect_is_reported_alone(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    write_field("n1-N16.field", PeriodicGrid(1, 16), np.ones(16))
+    path = tmp_path / "cfg.json"
+    if case in _UNREADABLE:
+        text, expected = _UNREADABLE[case]
+        path.write_text(text)
+        expected = expected.format(path=path)
+    else:
+        change, violation = _REJECTED[case]
+        data = {**_SMALL_1D, **change}
+        data = {key: value for key, value in data.items() if value is not _ABSENT}
+        path.write_text(json.dumps(data))
+        expected = _INVALID.format(violation)
+    assert run_cli(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
+def test_unary_signs_evaluate():
+    grid = PeriodicGrid(1, 8)
+    x = grid.coords()[0]
+    np.testing.assert_array_equal(eval_field_expr("2 - -x_1", grid), 2.0 + x)
+    np.testing.assert_array_equal(eval_field_expr("+1", grid), np.ones(8))
+
+
+def test_unknown_preset_name_is_a_key_error():
+    with pytest.raises(KeyError, match="no preset named 'nope'"):
+        get_preset("nope")
+
+
+# ---------------------------------------------------------------------------
+# oracle verb branches
+
+
+@pytest.mark.parametrize("reason, code", [
+    ("max_outer", 2),
+    ("inner_failure: NoConvergence: injected", 3),
+])
+def test_oracle_verb_reports_an_engine_failure_on_the_coarse_problem(
+    monkeypatch, capsys, reason, code
+):
+    monkeypatch.setattr(
+        cli, "run", lambda geom, config: SimpleNamespace(converged=False, reason=reason)
+    )
+    assert run_cli(["oracle", "neg-k2-sine"]) == code
+    assert capsys.readouterr().out == (
+        f"engine did not converge on the coarse problem: {reason}\n"
+    )
+
+
+def test_oracle_verb_samples_a_flat_density_like_its_expression(tmp_path, capsys):
+    cfg = get_preset("neg-k2-sine")
+    cfg["N"] = 16
+    reports = []
+    for f in (cfg["f"], eval_field_expr(cfg["f"], PeriodicGrid(1, 16)).tolist()):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "f": f}))
+        assert run_cli(["oracle", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["N"] == 8

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -335,6 +338,28 @@ def test_ledger_records_and_round_trips(tmp_path):
         if name == "wall_ms":
             continue
         np.testing.assert_array_equal(back.column(name), ledger.column(name))
+
+
+def test_ledger_column_rejects_an_unknown_name():
+    with pytest.raises(KeyError, match="no ledger column named 'E'"):
+        EnergyLedger(1).column("E")
+
+
+def test_ledger_csv_is_what_a_csv_writer_writes(tmp_path):
+    ledger = run(sine_geom(N=16)).ledger
+    path = tmp_path / "ledger.csv"
+    ledger.to_csv(path)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(ledger.columns)
+    for row in ledger.rows:
+        writer.writerow(
+            str(row[name]) if name in ("step", "inner_iters")
+            else "%.3f" % row[name] if name == "wall_ms"
+            else "%.17g" % row[name]
+            for name in ledger.columns
+        )
+    assert path.read_bytes() == buffer.getvalue().encode()
 
 
 @pytest.mark.parametrize("cut", [5, None])

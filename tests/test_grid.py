@@ -147,6 +147,16 @@ def test_field_file_header(tmp_path):
     assert first == "CRI-FIELD v1 n=1 N=4"
 
 
+def test_hessian_and_write_field_reject_a_field_of_another_shape(tmp_path):
+    g = PeriodicGrid(2, 4)
+    with pytest.raises(ValueError, match=r"field shape \(4,\) does not match grid"):
+        hessian(g, np.zeros(4))
+    path = tmp_path / "a.field"
+    with pytest.raises(ValueError, match="field shape does not match grid"):
+        write_field(path, g, np.zeros(16))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [

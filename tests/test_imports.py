@@ -1,10 +1,16 @@
-"""No dead imports in the package: a stand-in for a linter's F401.
+"""No dead imports or dead definitions in the package.
 
 Every name a module of ``coupled_ricci`` imports at module level is used
-in that module or listed in its ``__all__``.  The exceptions are the
-bindings that only the benchmark's tracer reads: their import line
-carries the marker below, and they are exactly ``WRAP_TARGETS``, the
-imports a change to the benchmark may delete.
+in that module or listed in its ``__all__`` (a stand-in for a linter's
+F401).  The exceptions are the bindings that only the benchmark's tracer
+reads: their import line carries the marker below, and they are exactly
+``WRAP_TARGETS``, the imports a change to the benchmark may delete.
+
+Every function, class and name a module defines at module level, dunder
+names such as ``__version__`` apart, is read somewhere in the package or
+listed in an ``__all__``.  The one exception
+is ``UNREAD_DEFINITIONS``: the tests' assembled Jacobian, which the
+benchmark's tracer also wraps.
 """
 
 import ast
@@ -19,6 +25,18 @@ WRAP_TARGETS = {
     "functionals.is_admissible",
     "iteration.cke_residual",
 }
+UNREAD_DEFINITIONS = {"monge_ampere.log_ma_linearization"}
+
+
+def _exported(tree):
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and [target.id for target in node.targets] == ["__all__"]
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def _unused_imports(path):
@@ -28,12 +46,7 @@ def _unused_imports(path):
     lines = text.splitlines()
     tree = ast.parse(text)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and [target.id for target in node.targets] == ["__all__"]
-        ):
-            used.update(ast.literal_eval(node.value))
+    used |= _exported(tree)
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
@@ -53,3 +66,35 @@ def test_every_module_level_import_is_used_or_a_wrap_target():
             (marked if is_marked else dead).add(name)
     assert dead == set(), f"unused imports: {sorted(dead)}"
     assert marked == WRAP_TARGETS
+
+
+def _definitions(tree):
+    """Each name a module binds at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_module_level_definition_is_read_or_exported():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _exported(tree)
+        read |= {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+    unread = {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if name not in read and not name.startswith("__")
+    }
+    assert unread == UNREAD_DEFINITIONS

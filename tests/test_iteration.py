@@ -216,7 +216,7 @@ def test_run_builds_one_hessian_per_class_and_evaluated_tuple(monkeypatch):
     assert candidates > 0
     # the step-0 tuple and each Anderson candidate; a sweep output comes
     # with the Hessians of its slice solves
-    assert len(built) == cfg.k * (1 + candidates)
+    assert len(built) == cfg.geom.k * (1 + candidates)
 
 
 def test_max_outer_reports_without_error():
@@ -384,7 +384,7 @@ def test_accelerated_sweeps_tie_the_inner_tolerance_to_rho_max(monkeypatch, name
     # the sweep from the tuple of row j solves every slice to this tolerance
     expected = [max(floor, INNER_TOL_RATIO * _row_residual(row))
                 for row in state.ledger.rows[:-1]]
-    assert tols == [tol for tol in expected for _ in range(cfg.k)]
+    assert tols == [tol for tol in expected for _ in range(cfg.geom.k)]
     assert tols[0] > floor
 
 
@@ -393,7 +393,7 @@ def test_plain_sweeps_solve_to_tol_inner(monkeypatch):
     cfg = build_run_config({**get_preset("neg-k2-sine"), "accel": "none"})
     state = run(cfg.geometry(), cfg.iteration)
     assert state.converged
-    assert tols == [cfg.iteration.tol_inner] * (cfg.k * state.step)
+    assert tols == [cfg.iteration.tol_inner] * (cfg.geom.k * state.step)
 
 
 def test_first_sweep_from_a_non_admissible_start_solves_to_tol_inner(monkeypatch):

@@ -98,6 +98,18 @@ def test_geometry_volume_is_background_determinant():
     np.testing.assert_allclose(geom2.volumes, [1.75])
 
 
+@pytest.mark.parametrize("A, f, violation", [
+    (np.ones((2,)), np.ones(8), "A must have shape (k, 1, 1), got (2,)"),
+    (np.ones((0, 1, 1)), np.ones(8), "at least one class matrix is required"),
+    (np.ones((1, 1, 1)), np.ones(7), "f has shape (7,), expected (8,)"),
+    (np.ones((1, 1, 1)), np.r_[np.ones(7), np.nan], "f contains non-finite values"),
+])
+def test_geometry_rejects_malformed_classes_and_densities(A, f, violation):
+    with pytest.raises(ValidationError) as err:
+        BackgroundGeometry(grid=PeriodicGrid(1, 8), lam=-1, A=A, f=f)
+    assert err.value.violations == [violation]
+
+
 # ---------------------------------------------------------------------------
 # densities and admissibility
 
@@ -318,7 +330,7 @@ def test_krylov_direction_matches_newton_step(n, N, t):
     sol = spsolve(_assembled_system(g, A, phi, t).tocsc(), -full_res)
     want, want_s = sol[:-1].reshape(g.shape), sol[-1]
     got, got_s, its = monge_ampere._newton_direction(
-        g, A, hess, dens, res, 2.5e-11, t, phi.mean()
+        g, A, hess, dens, res, 2.5e-11, t, phi.mean(), monge_ampere._KRYLOV_RTOL
     )
     assert its > 0
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -353,6 +365,15 @@ def test_constant_shifted_warm_start_takes_one_newton_step(eps):
     _, rep = solve_tke(geom, 0, coupling, warm_start=psi)
     assert rep.newton_iterations <= 1
     assert all(a == 1.0 for a in rep.damping_factors)
+
+
+@pytest.mark.parametrize("g, message", [
+    (np.zeros(15), "coupling field g has wrong shape"),
+    (np.r_[np.zeros(15), np.nan], "coupling field g must be finite"),
+])
+def test_solve_tke_rejects_a_malformed_coupling_field(g, message):
+    with pytest.raises(ValueError, match=message):
+        solve_tke(make_geom(), 0, g)
 
 
 def test_unconverged_krylov_solve_raises(monkeypatch):
@@ -446,6 +467,17 @@ def test_krylov_solve_with_the_exact_inverse_takes_one_step():
     # one Arnoldi step; the update of x applies nothing more
     assert converged and its == 1
     np.testing.assert_allclose(x, np.linalg.solve(mat, b), rtol=0, atol=1e-12)
+
+
+def test_krylov_solve_of_a_zero_right_hand_side_takes_no_step():
+    def never(v):
+        raise AssertionError("no operator application expected")
+
+    x, converged, its = monge_ampere._krylov_solve(
+        never, never, np.zeros(5), 1e-10, 0.0
+    )
+    assert converged and its == 0
+    np.testing.assert_array_equal(x, np.zeros(5))
 
 
 def test_krylov_solve_reports_an_exhausted_budget():
