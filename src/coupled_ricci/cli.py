@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, build_run_config, eval_field_expr, load_config_file
 from .errors import NoConvergence, OracleIntractable, ParseError, ValidationError
-from .functionals import ding
+from .functionals import _row_residual, ding
 from .grid import PeriodicGrid, write_field
 from .iteration import run
 from .oracle import oracle_ding_descent, oracle_fixed_point
@@ -90,7 +90,6 @@ def _write_run_outputs(out_dir, state) -> None:
             os.path.join(out_dir, f"psi_{i + 1}.field"), geom.grid, state.psis[i]
         )
 
-    rho_cols = [name for name in state.ledger.columns if name.startswith("rho_max_")]
     with open(os.path.join(out_dir, "ding.dat"), "w") as fh:
         fh.write("# step D\n")
         for row in rows:
@@ -98,8 +97,7 @@ def _write_run_outputs(out_dir, state) -> None:
     with open(os.path.join(out_dir, "residual.dat"), "w") as fh:
         fh.write("# step rho_max\n")
         for row in rows:
-            worst = max(row[name] for name in rho_cols)
-            fh.write("%d %.17g\n" % (row["step"], worst))
+            fh.write("%d %.17g\n" % (row["step"], _row_residual(row)))
 
 
 def cmd_run(args) -> int:

@@ -65,7 +65,10 @@ def eval_field_expr(expr: str, grid: PeriodicGrid) -> np.ndarray:
             if isinstance(node.value, (int, float)) and not isinstance(
                 node.value, bool
             ):
-                return float(node.value)
+                try:
+                    return float(node.value)
+                except OverflowError:  # an integer past the float range, like 1e999
+                    return np.inf
             raise ParseError(f"expression {expr!r}: bad literal {node.value!r}")
         if isinstance(node, ast.Name):
             if node.id in names:
@@ -264,25 +267,22 @@ def build_run_config(data: dict, name: str = "config") -> RunConfig:
 
     f_values = None
     f_spec = ""
-    if grid is not None:
-        f_entry = data.get("f")
-        if f_entry is None:
-            problems.append("f is required")
-        else:
-            expr = f_entry.get("expr") if isinstance(f_entry, dict) else f_entry
-            f_spec = expr if isinstance(expr, str) else "<data>"
-            f_values = _load_field_entry(f_entry, grid, "f", problems)
-        if f_values is not None:
-            if not np.all(np.isfinite(f_values)):
-                problems.append("f evaluates to non-finite values")
-            elif f_values.min() <= 0.0:
-                worst = np.unravel_index(np.argmin(f_values), grid.shape)
-                problems.append(
-                    f"f must be strictly positive; min {f_values.min():.6g} "
-                    f"at grid index {tuple(int(w) for w in worst)}"
-                )
-    elif "f" not in data:
+    f_entry = data.get("f")
+    if f_entry is None:
         problems.append("f is required")
+    elif grid is not None:
+        expr = f_entry.get("expr") if isinstance(f_entry, dict) else f_entry
+        f_spec = expr if isinstance(expr, str) else "<data>"
+        f_values = _load_field_entry(f_entry, grid, "f", problems)
+    if f_values is not None:
+        if not np.all(np.isfinite(f_values)):
+            problems.append("f evaluates to non-finite values")
+        elif f_values.min() <= 0.0:
+            worst = np.unravel_index(np.argmin(f_values), grid.shape)
+            problems.append(
+                f"f must be strictly positive; min {f_values.min():.6g} "
+                f"at grid index {tuple(int(w) for w in worst)}"
+            )
 
     init_values = None
     init_entry = data.get("init", "zero")

@@ -13,22 +13,13 @@ import csv
 
 import numpy as np
 
-from .errors import NonAdmissible
 from .grid import PeriodicGrid, hessian
 from .monge_ampere import (  # noqa: F401  perfbench/tracer.py wraps is_admissible here
     BackgroundGeometry,
-    _cone_density,
+    _admissible_density,
     is_admissible,
     ma_density,
 )
-
-
-def _admissible_density(grid, A, hess, what):
-    """ma_density of an admissible potential; NonAdmissible otherwise."""
-    dens = _cone_density(grid, A, hess)
-    if dens is None:
-        raise NonAdmissible(f"{what} needs an admissible potential")
-    return dens
 
 
 def _mixed_with_background(A, hess):
@@ -37,13 +28,6 @@ def _mixed_with_background(A, hess):
     return 0.5 * (
         A[1, 1] * hess.diag[0] + A[0, 0] * hess.diag[1] - 2.0 * A[0, 1] * q
     )
-
-
-def cone_state(grid, A, psi):
-    """(Hessian, ma_density) of one potential; the density is None
-    outside the cone."""
-    hess = hessian(grid, psi)
-    return hess, _cone_density(grid, A, hess)
 
 
 def _class_terms(grid, A, psi, hess, what, dens=None):
@@ -196,11 +180,15 @@ def _equivalence_ratio(grid, A, hess) -> float:
 # run ledger
 
 
+def _row_residual(terms) -> float:
+    """cke_residual of the tuple whose ledger terms or row are ``terms``."""
+    return max(v for name, v in terms.items() if name.startswith("rho_max_"))
+
+
 class EnergyLedger:
     """Per-step table of energies and residuals with a fixed column order."""
 
     def __init__(self, k: int):
-        self.k = k
         self.columns = (
             ["step"]
             + [f"AM_{i + 1}" for i in range(k)]

@@ -31,12 +31,12 @@ from .errors import (
 )
 from .functionals import (  # noqa: F401  perfbench/tracer.py wraps cke_residual here
     EnergyLedger,
+    _row_residual,
     class_columns,
     cke_residual,
-    cone_state,
     ricci_potentials,
 )
-from .monge_ampere import BackgroundGeometry, solve_tke
+from .monge_ampere import BackgroundGeometry, cone_state, solve_tke
 
 logger = logging.getLogger(__name__)
 
@@ -149,11 +149,6 @@ class IterationState:
         if self.ledger is None or not self.ledger.rows:
             return float("nan")
         return _row_residual(self.ledger.rows[-1])
-
-
-def _row_residual(terms) -> float:
-    """cke_residual of the tuple whose ledger terms or row are ``terms``."""
-    return max(v for name, v in terms.items() if name.startswith("rho_max_"))
 
 
 def step_gauss_seidel(geom, psis, config: IterationConfig, tol_inner=None):

@@ -54,13 +54,18 @@ _KRYLOV_STEPS = 100
 
 
 def class_matrix_problem(mat) -> str | None:
-    """Why ``mat`` is no finite symmetric positive-definite matrix, or None."""
+    """Why ``mat`` is no finite symmetric positive-definite matrix whose
+    determinant is a positive finite float, or None."""
     if not np.all(np.isfinite(mat)):
         return "has non-finite entries"
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
         return "is not symmetric"
     if np.linalg.eigvalsh(mat).min() <= 0.0:
         return "is not positive definite"
+    with np.errstate(over="ignore"):  # an overflowing det reads inf
+        volume = float(np.linalg.det(mat))
+    if not 0.0 < volume < np.inf:
+        return f"has class volume det = {volume:g}, not a positive finite float"
     return None
 
 
@@ -160,10 +165,24 @@ def _cone_density(grid, A, hess: HessianField):
     return sum(dets) / len(dets)
 
 
+def cone_state(grid, A, psi):
+    """(Hessian, ma_density) of one potential; the density is None
+    outside the cone."""
+    hess = hessian(grid, psi)
+    return hess, _cone_density(grid, A, hess)
+
+
+def _admissible_density(grid, A, hess, what):
+    """ma_density of an admissible potential; NonAdmissible otherwise."""
+    dens = _cone_density(grid, A, hess)
+    if dens is None:
+        raise NonAdmissible(f"{what} needs an admissible potential")
+    return dens
+
+
 def is_admissible(grid, A, psi) -> bool:
     """Whether every variant matrix A + H is positive definite everywhere."""
-    A = np.asarray(A, dtype=float)
-    return _cone_density(grid, A, hessian(grid, psi)) is not None
+    return cone_state(grid, np.asarray(A, dtype=float), psi)[1] is not None
 
 
 @dataclass
@@ -441,8 +460,7 @@ def _line_search(grid, A, u, s, delta, delta_s, res_norm, residual):
     saw_admissible = False
     for _ in range(_MAX_HALVINGS):
         cand = u + alpha * delta
-        hess = hessian(grid, cand)
-        dens = _cone_density(grid, A, hess)
+        hess, dens = cone_state(grid, A, cand)
         if dens is not None:
             saw_admissible = True
             cand_s = s + alpha * delta_s
@@ -473,9 +491,7 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
     u = np.asarray(phi0, dtype=float)
     u = u - u.mean()
     hess = hessian(grid, u)
-    dens = _cone_density(grid, A, hess)
-    if dens is None:
-        raise NonAdmissible("Newton solve needs an admissible start")
+    dens = _admissible_density(grid, A, hess, "Newton solve")
 
     def residual(cand, cand_s, cand_dens):
         return np.log(cand_dens) + t * cand - rhs - cand_s

@@ -49,6 +49,18 @@ def test_validate_reports_every_violation(tmp_path, capsys):
     assert "A_1" in err
 
 
+def test_validate_reports_a_null_density_next_to_a_bad_grid(tmp_path, capsys):
+    cfg = {**_SMALL_1D, "N": 13, "f": None}
+    path = tmp_path / "null_f.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration invalid:\n"
+        "  - N must be an even integer >= 4, got 13\n"
+        "  - f is required\n"
+    )
+
+
 def test_validate_rejects_nonpositive_density(tmp_path, capsys):
     cfg = get_preset("neg-k2-sine")
     cfg["f"] = "sin(2*pi*x_1)"
@@ -88,13 +100,18 @@ def test_config_name_must_be_a_string(tmp_path, capsys, name):
     assert "name must be a string" in capsys.readouterr().err
 
 
-_NON_FINITE_EXPRS = ["1/(x_1 - x_1)", "exp(1000*x_1)"]
+_NON_FINITE_EXPRS = [
+    "1/(x_1 - x_1)",
+    "exp(1000*x_1)",
+    pytest.param("1" + "0" * 400, id="integer-past-the-float-range"),
+]
 
 
 @pytest.mark.parametrize("expr", _NON_FINITE_EXPRS)
 def test_non_finite_field_expression_is_a_violation_of_its_field(expr):
-    # division by zero and overflow reach the non-finite checks, not a
-    # RuntimeWarning out of the expression evaluator
+    # division by zero, overflow and an integer literal past the float range
+    # reach the non-finite checks, not a RuntimeWarning or OverflowError out
+    # of the expression evaluator
     for key, value, violation in (
         ("f", expr, "f evaluates to non-finite values"),
         ("init", ["0", expr], "init_2 has non-finite values"),
@@ -700,6 +717,14 @@ _REJECTED = {
     ),
     "non-symmetric-class-matrix": (
         {"n": 2, "A": [[[1.0, 0.5], [0.0, 1.0]]]}, "A_1 is not symmetric"
+    ),
+    "class-volume-overflows": (
+        {"n": 2, "A": [[[1e200, 0.0], [0.0, 1e200]]]},
+        "A_1 has class volume det = inf, not a positive finite float",
+    ),
+    "class-volume-underflows": (
+        {"n": 2, "A": [[[1e-200, 0.0], [0.0, 1e-200]]]},
+        "A_1 has class volume det = 0, not a positive finite float",
     ),
     "expr-and-file": (
         {"f": {"expr": "1", "file": "n1-N16.field"}},

@@ -25,8 +25,8 @@ from coupled_ricci.iteration import (
     IterationState,
     _accelerate,
     _Anderson,
-    _row_residual,
 )
+from coupled_ricci.functionals import _row_residual
 from coupled_ricci.scenarios import get_preset
 
 
@@ -208,6 +208,11 @@ def test_run_builds_one_hessian_per_class_and_evaluated_tuple(monkeypatch):
     monkeypatch.setattr(
         functionals, "hessian",
         lambda grid, psi: built.append(1) or hessian(grid, psi),
+    )
+    cone_state = iteration.cone_state
+    monkeypatch.setattr(
+        iteration, "cone_state",
+        lambda grid, A, psi: built.append(1) or cone_state(grid, A, psi),
     )
     cfg = build_run_config(get_preset("neg-k2-stiff"))
     state = run(cfg.geometry(), cfg.iteration)

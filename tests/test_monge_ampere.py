@@ -89,6 +89,18 @@ def test_geometry_rejects_non_finite_class_matrices(n, A):
     assert err.value.violations == [f"A_{len(A)} has non-finite entries"]
 
 
+def test_geometry_rejects_a_class_volume_past_the_float_range():
+    # positive definite, but det A overflows, without a RuntimeWarning
+    grid = PeriodicGrid(2, 4)
+    with pytest.raises(ValidationError) as err:
+        BackgroundGeometry(
+            grid=grid, lam=-1, A=[1e200 * np.eye(2)], f=np.ones(grid.shape)
+        )
+    assert err.value.violations == [
+        "A_1 has class volume det = inf, not a positive finite float"
+    ]
+
+
 def test_geometry_volume_is_background_determinant():
     geom = make_geom(n=1, a=2.5, k=2)
     np.testing.assert_allclose(geom.volumes, [2.5, 2.5])
