@@ -246,12 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: the first build imports locale (argparse's
+# gettext), so that main itself imports nothing.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

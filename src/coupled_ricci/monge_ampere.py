@@ -11,11 +11,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve  # noqa: F401  perfbench/tracer.py wraps spsolve here
+from numpy.fft import irfftn, rfftn
 
 from .errors import (
     ContinuityBreakdown,
@@ -225,61 +224,26 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# sparse stencil operators
+# the assembled reference, loaded on first use
 
-@cache
-def _operator_matrices(grid: PeriodicGrid) -> dict:
-    """Second-difference and skew-mixed stencils as sparse matrices.
+def __getattr__(name):
+    """Import ``_sparse_reference``, and with it scipy, on the first lookup
+    of ``log_ma_linearization`` or ``spsolve`` here (PEP 562).
 
-    Built from the periodic shift S, (S u)(x) = u(x + h), of one axis: the
-    second difference S + S^T - 2I on each axis and, in 2-d, the one-sided
-    mixed products (S - I)(S - I) and (I - S^T)(I - S^T) of the two axes.
+    Binds both names in this module and removes this hook, so the load
+    runs once and a binding deleted afterwards stays deleted.
     """
-    eye = sp.identity(grid.N, format="csr")
-    shift = sp.eye(grid.N, k=1, format="csr") + sp.eye(grid.N, k=1 - grid.N)
-    second = shift + shift.T - 2 * eye
-    if grid.n == 1:
-        return {"d0": second / grid.h**2}
+    if name not in ("log_ma_linearization", "spsolve"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _sparse_reference
 
-    def kron(a, b):  # csr: the default BSR result keeps explicit zeros
-        return sp.kron(a, b, format="csr") / grid.h**2
-
-    return {
-        "d0": kron(second, eye),
-        "d1": kron(eye, second),
-        "qp": kron(shift - eye, shift - eye),
-        "qm": kron(eye - shift.T, eye - shift.T),
-    }
-
-
-def log_ma_linearization(grid, A, psi) -> sp.csr_matrix:
-    """Sparse derivative of log ma_density at the given admissible field.
-
-    This is the operator L in the Newton systems; it annihilates
-    constants and is negative semidefinite on admissible backgrounds.
-    The solvers apply L matrix-free; this assembled form is the reference
-    the tests build their Newton systems from.
-    """
-    A = np.asarray(A, dtype=float)
-    hess = hessian(grid, psi)
-    dens = _cone_density(grid, A, hess)
-    if dens is None:
-        raise NonAdmissible("cannot linearize at a non-admissible field")
-    ops = _operator_matrices(grid)
-    inv = (1.0 / dens).ravel()
-    if grid.n == 1:
-        return (sp.diags(inv) @ ops["d0"]).tocsr()
-    m00 = (A[0, 0] + hess.diag[0]).ravel()
-    m11 = (A[1, 1] + hess.diag[1]).ravel()
-    qp = (A[0, 1] + hess.mixed_plus).ravel()
-    qm = (A[0, 1] + hess.mixed_minus).ravel()
-    mat = (
-        sp.diags(inv * m11) @ ops["d0"]
-        + sp.diags(inv * m00) @ ops["d1"]
-        - sp.diags(inv * qp) @ ops["qp"]
-        - sp.diags(inv * qm) @ ops["qm"]
+    namespace = globals()
+    namespace.update(
+        log_ma_linearization=_sparse_reference.log_ma_linearization,
+        spsolve=_sparse_reference.spsolve,
     )
-    return mat.tocsr()
+    del namespace["__getattr__"]
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +292,7 @@ def _newton_operators(grid, A, hess, dens, t):
     response = np.zeros(shape)
     for offset, weight in weights.items():
         response[tuple(-step for step in offset)] = weight.mean()
-    denom = np.fft.rfftn(response)
+    denom = rfftn(response)
     denom[zero_mode] = 1.0
     inv_symbol = 1.0 / denom
     inv_symbol[zero_mode] = 0.0
@@ -357,7 +321,7 @@ def _newton_operators(grid, A, hess, dens, t):
     def psolve(x):
         r = x[:P].reshape(shape)
         out = np.empty(P + 1)
-        inv_r = np.fft.irfftn(np.fft.rfftn(r) * inv_symbol, s=shape, axes=axes)
+        inv_r = irfftn(rfftn(r) * inv_symbol, s=shape, axes=axes)
         out[:P] = (inv_r + x[P]).ravel()
         out[P] = t * x[P] - r.sum() / P
         return out

@@ -9,23 +9,31 @@ reads: their import line carries the marker below, and they are exactly
 Every function, class and name a module defines at module level, dunder
 names such as ``__version__`` apart, is read somewhere in the package or
 listed in an ``__all__``.  The one exception
-is ``UNREAD_DEFINITIONS``: the tests' assembled Jacobian, which the
-benchmark's tracer also wraps.
+is ``UNREAD_DEFINITIONS``: the tests' assembled Jacobian in
+``_sparse_reference``, which ``monge_ampere`` binds on first use and the
+benchmark's tracer wraps there.
+
+A run imports no scipy, and nothing at all once ``coupled_ricci.cli`` is
+imported: each is checked in a fresh interpreter.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import coupled_ricci
 
 PACKAGE = pathlib.Path(coupled_ricci.__file__).parent
 MARKER = "noqa: F401  perfbench"
 WRAP_TARGETS = {
-    "monge_ampere.spsolve",
+    "_sparse_reference.spsolve",
     "functionals.is_admissible",
     "iteration.cke_residual",
 }
-UNREAD_DEFINITIONS = {"monge_ampere.log_ma_linearization"}
+UNREAD_DEFINITIONS = {"_sparse_reference.log_ma_linearization"}
 
 
 def _exported(tree):
@@ -98,3 +106,53 @@ def test_every_module_level_definition_is_read_or_exported():
         if name not in read and not name.startswith("__")
     }
     assert unread == UNREAD_DEFINITIONS
+
+
+def _fresh_interpreter(script, *args):
+    """Run ``script`` in a new interpreter that imports this package, and
+    return the JSON its last line of standard output holds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+NO_SCIPY = """
+import json, sys
+from coupled_ricci import cli, config
+from coupled_ricci.scenarios import get_preset
+config.build_run_config(get_preset("neg-k2-2d")).geometry()
+code = cli.main(["run", "neg-k2-2d", "--out", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    assert _fresh_interpreter(NO_SCIPY, tmp_path) == [0, []]
+
+
+RUN_IMPORTS = """
+import json, sys
+from coupled_ricci import cli
+added = {}
+for name, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    before = set(sys.modules)
+    code = cli.main(["run", name, "--out", out])
+    added[name] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(added))
+"""
+
+
+def test_a_run_imports_nothing_after_the_cli(tmp_path):
+    # numpy.fft and argparse's locale are imported with coupled_ricci.cli,
+    # not inside cli.main.
+    presets = ["neg-k2-2d", "pos-k2-mild"]
+    args = [x for name in presets for x in (name, tmp_path / name)]
+    assert _fresh_interpreter(RUN_IMPORTS, *args) == {
+        name: [0, []] for name in presets
+    }

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from coupled_ricci import monge_ampere
+from coupled_ricci import _sparse_reference, monge_ampere
 from coupled_ricci import (
     BackgroundGeometry,
     IterationConfig,
@@ -239,6 +240,47 @@ def test_is_admissible_matches_margin_sign(n, N):
 
 # ---------------------------------------------------------------------------
 # linearization
+
+
+@pytest.fixture
+def unloaded_monge_ampere():
+    """A new copy of monge_ampere, kept out of sys.modules, whose
+    assembled reference has not been looked up yet."""
+    spec = importlib.util.find_spec("coupled_ricci.monge_ampere")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reference_names_are_sparse_reference_objects():
+    assert log_ma_linearization is _sparse_reference.log_ma_linearization
+    assert monge_ampere.log_ma_linearization is _sparse_reference.log_ma_linearization
+    assert monge_ampere.spsolve is _sparse_reference.spsolve
+
+
+def test_first_lookup_binds_both_reference_names(unloaded_monge_ampere):
+    module = unloaded_monge_ampere
+    assert "spsolve" not in vars(module)
+    assert module.log_ma_linearization is _sparse_reference.log_ma_linearization
+    assert vars(module)["spsolve"] is _sparse_reference.spsolve
+    assert "__getattr__" not in vars(module)
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_unknown_attribute_names_the_module(unloaded_monge_ampere, loaded):
+    module = unloaded_monge_ampere
+    if loaded:
+        module.spsolve
+    with pytest.raises(AttributeError, match="'coupled_ricci.monge_ampere'"):
+        module.no_such_name
+    assert ("log_ma_linearization" in vars(module)) == loaded
+
+
+def test_deleted_reference_binding_stays_deleted(monkeypatch):
+    monge_ampere.log_ma_linearization
+    monkeypatch.delattr(monge_ampere, "log_ma_linearization")
+    assert not hasattr(monge_ampere, "log_ma_linearization")
+    assert monge_ampere.spsolve is _sparse_reference.spsolve
 
 
 def test_linearization_matches_finite_differences():
@@ -506,7 +548,7 @@ def test_krylov_solve_reports_an_exhausted_budget():
 
 def test_slice_solves_call_no_scipy():
     # The Newton path runs on numpy alone; scipy serves only the assembled
-    # reference.  Records every call into a scipy module.
+    # reference in _sparse_reference.  Records every call into a scipy module.
     calls = set()
 
     def record(frame, event, arg):
