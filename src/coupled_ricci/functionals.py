@@ -22,20 +22,14 @@ from .monge_ampere import (  # noqa: F401  perfbench/tracer.py wraps is_admissib
 )
 
 
-def _mixed_with_background(A, hess):
-    """Mixed discriminant D(H, A) of the centered Hessian with A (n=2)."""
-    q = hess.mixed_centered
-    return 0.5 * (
-        A[1, 1] * hess.diag[0] + A[0, 0] * hess.diag[1] - 2.0 * A[0, 1] * q
-    )
-
-
 def _class_terms(grid, A, psi, hess, what, dens=None):
-    """(density, AM, I, J) of one class from one Hessian, built if None.
+    """(density, AM, I, J, eqratio) of one class from one Hessian, built if None.
 
     ``dens`` may pass the density of an admissible ``hess``; otherwise the
     density is cone-checked, and outside the cone NonAdmissible names
-    ``what``.
+    ``what``.  eqratio spreads the generalized eigenvalues of (A + D^2 psi, A),
+    centered mixed entry: in 2-d, 1 + x +- sqrt(x^2 - y) with x = D(D^2 psi,
+    A) / det A and y = det D^2 psi / det A, which do not grow with A's scale.
     """
     A = np.asarray(A, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -46,13 +40,21 @@ def _class_terms(grid, A, psi, hess, what, dens=None):
     det_a = float(np.linalg.det(A))
     if grid.n == 1:
         integrand = 0.5 * psi * (det_a + dens)
+        lam_hi = lam_lo = dens / A[0, 0]
     else:
-        middle = det_a + _mixed_with_background(A, hess)
-        integrand = psi * (det_a + middle + dens) / 3.0
+        d0, d1 = hess.diag
+        q = hess.mixed_centered
+        mixed = 0.5 * (A[1, 1] * d0 + A[0, 0] * d1 - 2.0 * A[0, 1] * q)
+        integrand = psi * (det_a + (det_a + mixed) + dens) / 3.0
+        x = mixed / det_a
+        y = (d0 / det_a) * d1 - (q / det_a) * q
+        root = np.sqrt(np.maximum(x * x - y, 0.0))
+        lam_hi = 1.0 + x + root
+        lam_lo = 1.0 + x - root
     am = grid.integrate(integrand)
     i_val = grid.integrate(psi * (det_a - dens)) / det_a
     j_val = grid.integrate(psi) - am / det_a
-    return dens, am, i_val, j_val
+    return dens, am, i_val, j_val, float(lam_hi.max() / lam_lo.min())
 
 
 def am_energy(grid: PeriodicGrid, A, psi) -> float:
@@ -85,11 +87,8 @@ def l_functional(geom: BackgroundGeometry, psis) -> float:
 def ding(geom: BackgroundGeometry, psis) -> float:
     """Coupled Ding functional: -sum AM_i/V_i plus the coupling term."""
     psis = np.asarray(psis, dtype=float)
-    vols = geom.volumes
-    total = 0.0
-    for i in range(geom.k):
-        total -= am_energy(geom.grid, geom.A[i], psis[i]) / vols[i]
-    return total + l_functional(geom, psis)
+    am = np.array([am_energy(geom.grid, A, psi) for A, psi in zip(geom.A, psis)])
+    return l_functional(geom, psis) - float((am / geom.volumes).sum())
 
 
 def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarray:
@@ -151,29 +150,10 @@ def class_columns(grid, A, psi, hess, dens=None):
     """(density, AM, I, J, osc, eqratio) of one class for the ledger, from
     its Hessian and, when known, its density; NonAdmissible outside the
     cone."""
-    dens, am, i_val, j_val = _class_terms(grid, A, psi, hess, "the ledger", dens)
-    return (dens, am, i_val, j_val, psi.max() - psi.min(),
-            _equivalence_ratio(grid, A, hess))
-
-
-def _equivalence_ratio(grid, A, hess) -> float:
-    """Spread of the generalized eigenvalues of (A + D^2 psi, A).
-
-    ``hess`` must be the Hessian of an admissible potential.
-    """
-    if grid.n == 1:
-        vals = (A[0, 0] + hess.diag[0]) / A[0, 0]
-        return float(vals.max() / vals.min())
-    det_a = float(np.linalg.det(A))
-    m00 = A[0, 0] + hess.diag[0]
-    m11 = A[1, 1] + hess.diag[1]
-    q = A[0, 1] + hess.mixed_centered
-    mixed = 0.5 * (A[1, 1] * m00 + A[0, 0] * m11 - 2.0 * A[0, 1] * q)
-    det_m = m00 * m11 - q * q
-    disc = np.sqrt(np.maximum(mixed * mixed - det_a * det_m, 0.0))
-    lam_hi = (mixed + disc) / det_a
-    lam_lo = (mixed - disc) / det_a
-    return float(lam_hi.max() / lam_lo.min())
+    dens, am, i_val, j_val, ratio = _class_terms(
+        grid, A, psi, hess, "the ledger", dens
+    )
+    return dens, am, i_val, j_val, psi.max() - psi.min(), ratio
 
 
 # ---------------------------------------------------------------------------

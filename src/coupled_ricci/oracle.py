@@ -17,13 +17,22 @@ from .functionals import ding
 from .monge_ampere import BackgroundGeometry, is_admissible, ma_density
 
 _MAX_POINTS = 64
-_NEWTON_TOL = 1e-12  # times max(1, max_i det A_i)
+_NEWTON_TOL = 1e-12  # oracle_fixed_point scales it by max(1, max_i det A_i)
 _NEWTON_STEPS = 80
 # A _GRAD_TOL much below 1e-6 drives the descent's Armijo test into the
 # rounding floor of the energy differences, and the step size collapses.
 _GRAD_TOL = 1e-6
 _DESCENT_STEPS = 200000
 _STEP0 = 0.1
+
+
+def _check_tractable(geom):
+    """OracleIntractable past the dense limit of _MAX_POINTS points per class."""
+    if geom.grid.num_points > _MAX_POINTS:
+        raise OracleIntractable(
+            f"{geom.grid.num_points} points per class exceeds the dense "
+            f"reference limit of {_MAX_POINTS}"
+        )
 
 
 def fd_jacobian(residual_fn, u, r0):
@@ -38,7 +47,7 @@ def fd_jacobian(residual_fn, u, r0):
     return jac
 
 
-def dense_newton(residual_fn, u0, tol=1e-12, max_iter=80):
+def dense_newton(residual_fn, u0, tol=_NEWTON_TOL, max_iter=_NEWTON_STEPS):
     """Damped Newton on a stacked residual with a dense FD Jacobian.
 
     Returns (u, iterations).  The residual must be defined everywhere
@@ -119,11 +128,7 @@ def oracle_fixed_point(geom: BackgroundGeometry):
     Returns (psis, cs, ding_value, iterations) with mean-zero potentials.
     Only sensible for tiny grids; refuses more than 64 points per class.
     """
-    if geom.grid.num_points > _MAX_POINTS:
-        raise OracleIntractable(
-            f"{geom.grid.num_points} points per class exceeds the dense "
-            f"reference limit of {_MAX_POINTS}"
-        )
+    _check_tractable(geom)
     system = StackedSystem(geom)
     scale = max(1.0, float(geom.volumes.max()))
     u, iterations = dense_newton(system.residual, system.initial_guess(),
@@ -147,11 +152,7 @@ def oracle_ding_descent(geom: BackgroundGeometry):
     keeps every iterate admissible and the energy trace monotone.
     Returns (psis, ding_value, trace, iterations).
     """
-    if geom.grid.num_points > _MAX_POINTS:
-        raise OracleIntractable(
-            f"{geom.grid.num_points} points per class exceeds the dense "
-            f"reference limit of {_MAX_POINTS}"
-        )
+    _check_tractable(geom)
     grid = geom.grid
     vols = geom.volumes
     psis = np.zeros((geom.k,) + grid.shape)

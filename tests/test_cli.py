@@ -195,6 +195,25 @@ def test_run_writes_the_full_output_set(tmp_path, capsys):
     assert (out / "residual.dat").read_text().splitlines()[0] == "# step rho_max"
 
 
+def test_run_with_a_huge_class_volume_writes_finite_ledger_columns(tmp_path):
+    cfg = {
+        "cri_config": 1,
+        "lambda": -1,
+        "n": 2,
+        "N": 8,
+        "k": 1,
+        "A": [[[1e150, 0.0], [0.0, 1e150]]],
+        "f": "1 + 0.5*sin(2*pi*x_1)",
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 0
+    with open(out / "ledger.csv", newline="") as fh:
+        ratios = [float(row["eqratio_1"]) for row in csv.DictReader(fh)]
+    assert ratios and np.isfinite(ratios).all()
+
+
 def test_run_exit_two_when_step_budget_runs_out(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
