@@ -1,8 +1,8 @@
 """Command line interface.
 
 Verbs: run, validate, oracle, list-scenarios.  Exit codes: 0 success,
-1 configuration error, 2 outer iteration budget exhausted, 3 inner
-solver failure.
+1 configuration error, 2 a run stopped unconverged without an error (the
+outer budget spent, a stall or a divergence), 3 an error ended the run.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_MAX_OUTER = 2
-EXIT_INNER_FAILURE = 3
+EXIT_STOPPED = 2
+EXIT_ERROR = 3
 
 
 def _resolve_config(ref: str, overrides: dict | None = None) -> RunConfig:
@@ -120,12 +120,10 @@ def cmd_run(args) -> int:
 
 
 def _exit_code(state) -> int:
-    """0 converged; 2 for an outer budget spent or a stalled sweep; else 3."""
+    """0 converged; 3 when an error ended the run; 2 for every other stop."""
     if state.converged:
         return EXIT_OK
-    if state.reason == "max_outer" or state.reason.startswith("stalled"):
-        return EXIT_MAX_OUTER
-    return EXIT_INNER_FAILURE
+    return EXIT_STOPPED if state.error is None else EXIT_ERROR
 
 
 def cmd_validate(args) -> int:
@@ -187,7 +185,7 @@ def cmd_oracle(args) -> int:
         _psis_desc, d_desc, trace, descent_iters = oracle_ding_descent(geom)
     except NoConvergence as exc:
         print(f"reference solver {solver} failed on the coarse problem: {exc}")
-        return EXIT_INNER_FAILURE
+        return EXIT_ERROR
     report = compare_oracle(geom, state.psis, psis_ref, d_ref)
     report["N"] = geom.grid.N
     report["oracle_newton_iterations"] = newton_iters

@@ -39,7 +39,10 @@ class NonAdmissibleStep(CoupledRicciError):
 
 
 class NoConvergence(CoupledRicciError):
-    """Raised when an iterative solver exhausts its budget."""
+    """Raised when an iterative solver fails to reach its tolerance: an
+    exhausted Newton or descent budget, a line search that cannot reduce
+    the residual, an unconverged GMRES solve, or a slice residual above
+    tol_inner."""
 
 
 class ContinuityBreakdown(CoupledRicciError):

@@ -22,12 +22,13 @@ from .monge_ampere import (  # noqa: F401  perfbench/tracer.py wraps is_admissib
 )
 
 
-def _class_terms(grid, A, psi, hess, what, dens=None):
-    """(density, AM, I, J, eqratio) of one class from one Hessian, built if None.
+def class_columns(grid, A, psi, hess=None, dens=None):
+    """(density, AM, I, J, osc, eqratio) of one class for the ledger, from one
+    Hessian, built if None.
 
     ``dens`` may pass the density of an admissible ``hess``; otherwise the
-    density is cone-checked, and outside the cone NonAdmissible names
-    ``what``.  eqratio spreads the generalized eigenvalues of (A + D^2 psi, A),
+    density is cone-checked, and NonAdmissible is raised outside the cone.
+    eqratio spreads the generalized eigenvalues of (A + D^2 psi, A),
     centered mixed entry: in 2-d, 1 + x +- sqrt(x^2 - y) with x = D(D^2 psi,
     A) / det A and y = det D^2 psi / det A, which do not grow with A's scale.
     """
@@ -36,7 +37,7 @@ def _class_terms(grid, A, psi, hess, what, dens=None):
     if hess is None:
         hess = hessian(grid, psi)
     if dens is None:
-        dens = _admissible_density(grid, A, hess, what)
+        dens = _admissible_density(grid, A, hess)
     det_a = float(np.linalg.det(A))
     if grid.n == 1:
         integrand = 0.5 * psi * (det_a + dens)
@@ -54,7 +55,8 @@ def _class_terms(grid, A, psi, hess, what, dens=None):
     am = grid.integrate(integrand)
     i_val = grid.integrate(psi * (det_a - dens)) / det_a
     j_val = grid.integrate(psi) - am / det_a
-    return dens, am, i_val, j_val, float(lam_hi.max() / lam_lo.min())
+    osc = psi.max() - psi.min()
+    return dens, am, i_val, j_val, osc, float(lam_hi.max() / lam_lo.min())
 
 
 def am_energy(grid: PeriodicGrid, A, psi) -> float:
@@ -63,17 +65,17 @@ def am_energy(grid: PeriodicGrid, A, psi) -> float:
     The integrand is psi times the average of the mixed discriminants
     D(M^j, A^(n-j)) for j = 0..n, with M = A + D^2 psi.
     """
-    return _class_terms(grid, A, psi, None, "am_energy")[1]
+    return class_columns(grid, A, psi)[1]
 
 
 def i_functional(grid: PeriodicGrid, A, psi) -> float:
     """Aubin I functional: (1/V) integral of psi (det A - ma_density)."""
-    return _class_terms(grid, A, psi, None, "i_functional")[2]
+    return class_columns(grid, A, psi)[2]
 
 
 def j_functional(grid: PeriodicGrid, A, psi) -> float:
     """Aubin J functional: (1/V) integral of psi det A minus AM/V."""
-    return _class_terms(grid, A, psi, None, "j_functional")[3]
+    return class_columns(grid, A, psi)[3]
 
 
 def l_functional(geom: BackgroundGeometry, psis) -> float:
@@ -105,7 +107,7 @@ def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarr
     grid = geom.grid
     if densities is None:
         densities = [
-            _admissible_density(grid, A, hessian(grid, psi), "ricci_potentials")
+            _admissible_density(grid, A, hessian(grid, psi))
             for A, psi in zip(geom.A, psis)
         ]
     weight = np.exp(-geom.lam * psis.sum(axis=0)) * geom.f
@@ -146,16 +148,6 @@ def ding_first_variation(geom: BackgroundGeometry, psis, deltas) -> float:
     return total
 
 
-def class_columns(grid, A, psi, hess, dens=None):
-    """(density, AM, I, J, osc, eqratio) of one class for the ledger, from
-    its Hessian and, when known, its density; NonAdmissible outside the
-    cone."""
-    dens, am, i_val, j_val, ratio = _class_terms(
-        grid, A, psi, hess, "the ledger", dens
-    )
-    return dens, am, i_val, j_val, psi.max() - psi.min(), ratio
-
-
 # ---------------------------------------------------------------------------
 # run ledger
 
@@ -192,10 +184,7 @@ class EnergyLedger:
         psis = np.asarray(psis, dtype=float)
         grid = geom.grid
         if classes is None:
-            classes = [
-                class_columns(grid, A, psi, hessian(grid, psi))
-                for A, psi in zip(geom.A, psis)
-            ]
+            classes = [class_columns(grid, A, psi) for A, psi in zip(geom.A, psis)]
         dens, *columns = zip(*classes)
         am, ivals, jvals, osc, eq_ratio = np.array(columns)
         lval = l_functional(geom, psis)

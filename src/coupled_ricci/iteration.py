@@ -21,14 +21,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    ContinuityBreakdown,
-    CoupledRicciError,
-    NoConvergence,
-    NonAdmissible,
-    NonAdmissibleStep,
-    ValidationError,
-)
+from .errors import CoupledRicciError, NonAdmissible, ValidationError
 from .functionals import (  # noqa: F401  perfbench/tracer.py wraps cke_residual here
     EnergyLedger,
     _row_residual,
@@ -39,8 +32,6 @@ from .functionals import (  # noqa: F401  perfbench/tracer.py wraps cke_residual
 from .monge_ampere import BackgroundGeometry, cone_state, solve_tke
 
 logger = logging.getLogger(__name__)
-
-_INNER_ERRORS = (NoConvergence, NonAdmissibleStep, ContinuityBreakdown, NonAdmissible)
 
 # Anderson history depth m; the history holds 2(m + 1) tuples.  Sweeps at
 # the default tolerances, m = 3 -> m = 8:
@@ -66,6 +57,13 @@ INNER_TOL_RATIO = 1e-2
 
 # Rounding slack of check_monotone.
 _SLACK_COEF = 1e-9
+
+# Rises of rho_max in a row that stop a plain run as diverging (see
+# _diverging).  Plain Jacobi, k = 3, 1-d, N = 32, A = s (1, 1.3, 0.8)
+# stops at sweep 4, 3, 3, 3 for s = 50, 100, 1e3, 1e4; no plain preset or
+# workload rises in more than 2 sweeps in a row, or 4 below its first
+# row's rho_max (pos2d-n48, Jacobi).
+DIVERGING_RISES = 3
 
 
 # The allowed values of each string setting of IterationConfig.
@@ -159,9 +157,9 @@ def step_gauss_seidel(geom, psis, config: IterationConfig, tol_inner=None):
     Jacobi mode (``config.mode == "jacobi"``) every slice reads its
     partners from the previous tuple.  Each slice is solved to
     ``tol_inner``, by default ``config.tol_inner``, and its columns are
-    taken from the Hessian and density its solve ends with.  Inner-solver
-    errors are re-raised with the failing class index attached as
-    ``slice_index``.
+    taken from the Hessian and density its solve ends with.  Every
+    CoupledRicciError of a slice solve is re-raised with the failing class
+    index attached as ``slice_index``; :func:`run` ends on the same class.
     """
     if tol_inner is None:
         tol_inner = config.tol_inner
@@ -314,6 +312,21 @@ def _start(state):
     )
 
 
+def _diverging(rows) -> str | None:
+    """The stop reason of a ledger whose rho_max rose in each of the last
+    DIVERGING_RISES sweeps to above its first row's, else None."""
+    if len(rows) <= DIVERGING_RISES:
+        return None
+    rho = [_row_residual(row) for row in rows[-DIVERGING_RISES - 1:]]
+    first = _row_residual(rows[0])
+    if not (all(a < b for a, b in zip(rho, rho[1:])) and rho[-1] > first):
+        return None
+    return (
+        f"diverging: rho_max grew from {first:.3g} to {rho[-1]:.3g} over "
+        f"{rows[-1]['step'] - rows[0]['step']} sweeps"
+    )
+
+
 def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
         init=None) -> IterationState:
     """Iterate the coupled system until the Ricci potentials vanish.
@@ -341,7 +354,9 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
     on the tuple taken.
     A sweep that takes no Newton step while rho_max is above
     ``tol_fixed_point`` would repeat forever, so its row is written and
-    the run stops as ``"stalled"``.
+    the run stops as ``"stalled"``.  A plain run (``accel="none"``) whose
+    ledger rows rise as :func:`_diverging` describes stops as
+    ``"diverging"``: plain Jacobi with k >= 3 is no contraction at stiff A.
     """
     if config is None:
         config = IterationConfig()
@@ -380,7 +395,7 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
             swept, inner_iters, classes = step_gauss_seidel(
                 geom, psis, config, tol_inner
             )
-        except _INNER_ERRORS as exc:
+        except CoupledRicciError as exc:
             state.reason = f"inner_failure: {type(exc).__name__}: {exc}"
             state.error = exc
             state.step = step
@@ -403,6 +418,11 @@ def run(geom: BackgroundGeometry, config: IterationConfig | None = None,
                 f"tol_inner {tol_inner:g} allows no smaller residual"
             )
             break
+        if history is None:
+            diverging = _diverging(state.ledger.rows)
+            if diverging is not None:
+                state.reason = diverging
+                break
     else:
         state.converged = True
         state.reason = "converged"

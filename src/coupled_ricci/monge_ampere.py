@@ -171,11 +171,11 @@ def cone_state(grid, A, psi):
     return hess, _cone_density(grid, A, hess)
 
 
-def _admissible_density(grid, A, hess, what):
+def _admissible_density(grid, A, hess):
     """ma_density of an admissible potential; NonAdmissible otherwise."""
     dens = _cone_density(grid, A, hess)
     if dens is None:
-        raise NonAdmissible(f"{what} needs an admissible potential")
+        raise NonAdmissible("the potential is outside the positivity cone")
     return dens
 
 
@@ -455,7 +455,7 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
     u = np.asarray(phi0, dtype=float)
     u = u - u.mean()
     hess = hessian(grid, u)
-    dens = _admissible_density(grid, A, hess, "Newton solve")
+    dens = _admissible_density(grid, A, hess)
 
     def residual(cand, cand_s, cand_dens):
         return np.log(cand_dens) + t * cand - rhs - cand_s

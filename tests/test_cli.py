@@ -248,6 +248,46 @@ def test_run_exit_three_on_inner_breakdown(tmp_path, capsys):
     assert summary["final_rho_max"] is None or summary["final_rho_max"] >= 0
 
 
+# Plain Jacobi, k = 3, A = s (1, 1.3, 0.8): near psi = 0 the sweep scales the
+# lowest class-symmetric mode by about -(k - 1) / (1 + 4 pi^2 / s), so it
+# contracts for s < 4 pi^2 / (k - 2), about 39.5, and expands above it
+@pytest.mark.parametrize("s, steps", [
+    (10, 20), (30, 114), (50, None), (100, None), (1e3, None), (1e4, None),
+])
+def test_plain_jacobi_past_the_contraction_limit_stops_as_diverging(
+    tmp_path, s, steps
+):
+    cfg = {**get_preset("neg-k2-sine"), "N": 32, "k": 3,
+           "A": [s, 1.3 * s, 0.8 * s], "mode": "jacobi", "accel": "none",
+           "max_outer": 3000}
+    path = tmp_path / "jacobi-k3.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = run_cli(["run", str(path), "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    if steps is not None:
+        assert code == 0
+        assert summary["steps"] == steps
+    else:
+        assert code == 2
+        assert summary["reason"].startswith("diverging: rho_max grew from ")
+        assert summary["steps"] <= 4
+
+
+def test_run_exit_three_when_no_damping_keeps_the_iterate_admissible(
+    tmp_path, monkeypatch
+):
+    # every trial point of the line search is refused by the cone test
+    monkeypatch.setattr(monge_ampere, "cone_state", lambda grid, A, psi: (None, None))
+    out = tmp_path / "out"
+    assert run_cli(["run", "neg-k2-sine", "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reason"] == (
+        "inner_failure: NonAdmissibleStep: no damping factor keeps the "
+        "Newton iterate admissible"
+    )
+
+
 # 1-d, k = 2, A = 1 problems whose exact slice solves from zero hit the
 # rounding floor of the Newton residual in the first sweep
 _FLOOR_PROBES = {
@@ -818,8 +858,13 @@ def test_unknown_preset_name_is_a_key_error():
 def test_oracle_verb_reports_an_engine_failure_on_the_coarse_problem(
     monkeypatch, capsys, reason, code
 ):
+    # the exit code reads the error that ended the run, not the reason text
+    error = NoConvergence("injected") if code == 3 else None
     monkeypatch.setattr(
-        cli, "run", lambda geom, config: SimpleNamespace(converged=False, reason=reason)
+        cli, "run",
+        lambda geom, config: SimpleNamespace(
+            converged=False, reason=reason, error=error
+        ),
     )
     assert run_cli(["oracle", "neg-k2-sine"]) == code
     assert capsys.readouterr().out == (

@@ -772,6 +772,20 @@ def test_report_residual_matches_independent_reevaluation():
     assert again == pytest.approx(rep.residual, rel=1e-14, abs=1e-300)
 
 
+def test_finalize_rejects_a_density_of_another_field():
+    g = PeriodicGrid(1, 16)
+    x = g.coords()[0]
+    geom = BackgroundGeometry(
+        grid=g, lam=-1, A=np.array([[[1.0]]]), f=np.ones(16)
+    )
+    # the density of the zero potential, reported for a cosine
+    report = monge_ampere.SolveReport(density=np.ones(16))
+    with pytest.raises(NoConvergence, match="above tol_inner 1.000e-10"):
+        monge_ampere._finalize(
+            geom, np.zeros(16), 0.1 * np.cos(2 * np.pi * x), 1e-10, report
+        )
+
+
 # ---------------------------------------------------------------------------
 # slice solves, lam = +1 and the continuity path
 
