@@ -24,8 +24,6 @@ class ValidationError(CoupledRicciError, ValueError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

@@ -110,9 +110,10 @@ def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarr
             _admissible_density(grid, A, hessian(grid, psi))
             for A, psi in zip(geom.A, psis)
         ]
-    weight = np.exp(-geom.lam * psis.sum(axis=0)) * geom.f
-    log_weight = np.log(weight)
-    z = grid.integrate(weight)
+    # the log of the weight, not the log of its exponential, which
+    # underflows to 0 once -lam * sum psi falls below about -745
+    log_weight = np.log(geom.f) - geom.lam * psis.sum(axis=0)
+    z = grid.integrate(np.exp(log_weight))
     vols = geom.volumes
     rhos = np.empty_like(psis)
     for i, dens in enumerate(densities):

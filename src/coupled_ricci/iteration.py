@@ -190,30 +190,22 @@ class _Anderson:
     """Type-II Anderson mixing of the sweep map G (Walker & Ni, 2011).
 
     Keeps the last ``ANDERSON_DEPTH + 1`` residuals f_j = G(x_j) - x_j and
-    outputs G(x_j); the outputs are held by reference, so the newest one
-    is the sweep result itself.  The differences are never stored: the
-    least-squares Gram matrix comes from the inner products <f_a, f_b>,
-    which ``inner`` keeps as the residuals come and go.
+    outputs G(x_j) of (k, grid) tuples; the outputs are held by reference,
+    so the newest one is the sweep result itself.  Each residual is kept
+    with its per-class mean removed: D and rho ignore per-class constants,
+    but a least-squares fit does not, and at stiff A the constants
+    dominate the fit.
     """
 
     def __init__(self):
         self.residuals = deque(maxlen=ANDERSON_DEPTH + 1)
         self.outputs = deque(maxlen=ANDERSON_DEPTH + 1)
-        self.inner = np.zeros((0, 0))
 
     def push(self, x, gx) -> None:
-        """Add a pair; one new row of ``inner``, the evicted one dropped."""
         f = gx - x
-        kept = self.inner
-        if len(self.residuals) == self.residuals.maxlen:
-            kept = kept[1:, 1:]
+        f -= f.mean(axis=tuple(range(1, f.ndim)), keepdims=True)
         self.residuals.append(f)
         self.outputs.append(gx)
-        p = len(self.residuals)
-        inner = np.empty((p, p))
-        inner[:-1, :-1] = kept
-        inner[-1] = inner[:, -1] = [np.vdot(a, f) for a in self.residuals]
-        self.inner = inner
 
     def restart(self) -> None:
         """Drop every pair but the newest."""
@@ -221,31 +213,24 @@ class _Anderson:
             newest = pairs[-1]
             pairs.clear()
             pairs.append(newest)
-        self.inner = self.inner[-1:, -1:]
 
     def extrapolate(self):
         """G(x_j) - sum_a gamma_a (G(x_{a+1}) - G(x_a)), or None.
 
-        gamma minimises |f_j - sum_a gamma_a (f_{a+1} - f_a)|_2.  The m x m
-        normal equations get a shift of 1e-14 times their trace, which
-        keeps them solvable when the residuals are nearly collinear.
+        gamma is the least-squares solution of sum_a gamma_a (f_{a+1} - f_a)
+        = f_j, of minimum norm when the differences are dependent; None
+        with fewer than two pairs or when every difference is zero.
         """
-        p = len(self.residuals)
-        if p < 2:
+        f = self.residuals
+        if len(f) < 2:
             return None
-        inner = self.inner
-        # inner products of the differences f_{a+1} - f_a
-        gram = inner[1:, 1:] - inner[1:, :-1] - inner[:-1, 1:] + inner[:-1, :-1]
-        shift = 1e-14 * np.trace(gram)
-        if not shift > 0.0:
+        diffs = np.empty((len(f) - 1, f[-1].size))
+        for a, row in enumerate(diffs):
+            np.subtract(f[a + 1].ravel(), f[a].ravel(), out=row)
+        gamma, _, rank, _ = np.linalg.lstsq(diffs.T, f[-1].ravel(), rcond=None)
+        if rank == 0:
             return None
-        gamma = np.linalg.solve(
-            gram + shift * np.eye(p - 1), inner[1:, -1] - inner[:-1, -1]
-        )
-        coef = np.zeros(p)
-        coef[-1] = 1.0
-        coef[1:] -= gamma
-        coef[:-1] += gamma
+        coef = np.diff(gamma, prepend=0.0, append=1.0)  # the weight of each G(x_a)
         ext = coef[-1] * self.outputs[-1]
         for c, gx in zip(coef[:-1], self.outputs):
             ext += c * gx

@@ -45,16 +45,16 @@ WORKLOADS = {
 # it gets.
 COUNTS = {
     "const-k2": (0, 0, 0),
-    "jacobi-k2-sine": (4, 14, 58),
+    "jacobi-k2-sine": (4, 14, 60),
     "neg-k1-sine": (3, 5, 20),
     "neg-k2-2d": (3, 9, 21),
     "neg-k2-sine": (3, 11, 39),
     "neg-k2-sine-n8": (3, 11, 34),
-    "neg-k2-stiff": (11, 22, 32),
+    "neg-k2-stiff": (11, 23, 33),
     "pos-k2-mild": (3, 8, 15),
-    "pos-k2-steep": (8, 68, 1381),
+    "pos-k2-steep": (8, 68, 1382),
     "gs2d-n128": (3, 8, 19),
-    "stiff1d-n64": (11, 22, 32),
+    "stiff1d-n64": (11, 23, 33),
     "pos2d-n48": (6, 25, 94),
 }
 

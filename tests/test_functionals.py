@@ -201,6 +201,26 @@ def test_ricci_potentials_normalization_identity():
             assert mass == pytest.approx(geom.volumes[i], rel=1e-12)
 
 
+def test_ricci_potentials_of_an_underflowing_coupling_weight():
+    # sum psi is -1000 at the bottom of the well, where exp(-lam * sum psi)
+    # underflows to 0; at A = 1e5 the well is deep inside the cone
+    grid = PeriodicGrid(1, 32)
+    x = grid.coords()[0]
+    geom = BackgroundGeometry(
+        grid=grid, lam=-1, A=np.full((2, 1, 1), 1e5),
+        f=1 + 0.5 * np.sin(2 * np.pi * x),
+    )
+    well = -250.0 * (1.0 - np.cos(2 * np.pi * x))
+    psis = np.array([well, well])
+    assert np.exp(psis.sum(axis=0)).min() == 0.0
+    rhos = ricci_potentials(geom, psis)
+    assert np.isfinite(rhos).all()
+    for i in range(2):
+        dens = ma_density(grid, geom.A[i], psis[i])
+        mass = grid.integrate(np.exp(rhos[i]) * dens)
+        assert mass == pytest.approx(geom.volumes[i], rel=1e-12)
+
+
 def test_ricci_potentials_vanish_at_fixed_point():
     geom = sine_geom(N=32)
     state = run(geom)
