@@ -79,11 +79,10 @@ def j_functional(grid: PeriodicGrid, A, psi) -> float:
 
 
 def l_functional(geom: BackgroundGeometry, psis) -> float:
-    """Coupling term -lam * log integral of exp(-lam * sum psi) * f."""
+    """Coupling term -lam * log Z, Z the integral of exp(-lam * sum psi) * f,
+    with log Z from BackgroundGeometry.coupling."""
     psis = np.asarray(psis, dtype=float)
-    total = psis.sum(axis=0)
-    z = geom.grid.integrate(np.exp(-geom.lam * total) * geom.f)
-    return -geom.lam * float(np.log(z))
+    return -geom.lam * geom.coupling(psis.sum(axis=0))[1]
 
 
 def ding(geom: BackgroundGeometry, psis) -> float:
@@ -96,12 +95,12 @@ def ding(geom: BackgroundGeometry, psis) -> float:
 def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarray:
     """Log-ratio fields rho_i measuring the distance to the fixed point.
 
-    rho_i = log( V_i * exp(-lam * sum psi) * f / (Z * ma_density_i) )
-    with Z the integral of exp(-lam * sum psi) * f.  By construction
-    integrate(exp(rho_i) * ma_density_i) = V_i exactly.  ``densities``
-    may pass the cone-checked class densities of ``psis``; a class whose
-    entry is None (outside the cone) gets a row of NaN, while its
-    potential still enters the weight.
+    rho_i = log V_i + log w - log Z - log ma_density_i, with (log w, log Z)
+    of w = exp(-lam * sum psi) * f from BackgroundGeometry.coupling, so
+    integrate(exp(rho_i) * ma_density_i) = V_i exactly.  ``densities`` may
+    pass the cone-checked class densities of ``psis``; a class whose entry
+    is None (outside the cone) gets a row of NaN, while its potential
+    still enters the weight.
     """
     psis = np.asarray(psis, dtype=float)
     grid = geom.grid
@@ -110,17 +109,13 @@ def ricci_potentials(geom: BackgroundGeometry, psis, densities=None) -> np.ndarr
             _admissible_density(grid, A, hessian(grid, psi))
             for A, psi in zip(geom.A, psis)
         ]
-    # the log of the weight, not the log of its exponential, which
-    # underflows to 0 once -lam * sum psi falls below about -745
-    log_weight = np.log(geom.f) - geom.lam * psis.sum(axis=0)
-    z = grid.integrate(np.exp(log_weight))
-    vols = geom.volumes
+    log_w, log_z = geom.coupling(psis.sum(axis=0))
     rhos = np.empty_like(psis)
     for i, dens in enumerate(densities):
         if dens is None:
             rhos[i] = np.nan
         else:
-            rhos[i] = np.log(vols[i]) + log_weight - np.log(z) - np.log(dens)
+            rhos[i] = np.log(geom.volumes[i]) + log_w - log_z - np.log(dens)
     return rhos
 
 

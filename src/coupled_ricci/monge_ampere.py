@@ -28,10 +28,8 @@ from .grid import HessianField, PeriodicGrid, _is_int, hessian
 logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 50
-# Newton steps allowed to the direct attempt from a warm start, and to
-# each rung of a path in t
-_WARM_NEWTON = 20
-_RUNG_NEWTON = 40
+# Newton steps allowed to a direct attempt and to each rung of a path in t
+_NEWTON_STEPS = 20
 
 # GMRES settings of the Newton linear solve: one cycle of at most
 # _KRYLOV_STEPS steps.  It stops when the residual meets the looser of a
@@ -120,6 +118,20 @@ class BackgroundGeometry:
         vols = np.array([float(np.linalg.det(mat)) for mat in self.A])
         vols.setflags(write=False)  # one cached array serves every caller
         return vols
+
+    @cached_property
+    def log_f(self) -> np.ndarray:
+        """log f, cached read-only like ``volumes``."""
+        log_f = np.log(self.f)
+        log_f.setflags(write=False)
+        return log_f
+
+    def coupling(self, total):
+        """(log w, log Z) of w = exp(-lam * total) * f and its integral Z,
+        summed relative to max w: finite where w or Z leaves the float range."""
+        log_w = self.log_f - self.lam * total
+        top = float(log_w.max())
+        return log_w, top + math.log(self.grid.integrate(np.exp(log_w - top)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +452,7 @@ def _line_search(grid, A, u, s, delta, delta_s, res_norm, residual):
     raise NoConvergence("Newton line search failed to reduce the residual")
 
 
-def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
+def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
     """Damped Newton for one slice equation in log form,
 
         log ma_density(A, u) + t*u - rhs - s = 0,  mean u = 0,
@@ -467,10 +479,10 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
     dampings = []
     krylov = []
     while norm > tol:
-        if len(dampings) == max_newton:
+        if len(dampings) == _NEWTON_STEPS:
             raise NoConvergence(
                 f"Newton stalled at residual {norm:.3e} after "
-                f"{max_newton} iterations"
+                f"{_NEWTON_STEPS} iterations"
             )
         forcing = float(np.clip(norm, _KRYLOV_RTOL, _FORCING_MAX))
         delta, delta_s, its = _newton_direction(
@@ -496,27 +508,25 @@ def _damped_newton(grid, A, rhs, tol, phi0, max_newton, t, s0=None):
 def _finalize(geom, g, u, tol_inner, report):
     """Shift u to sup 0, recompute c and record the residual.
 
-    The density is the report's, that of the final Newton iterate u.
+    The density is the report's, that of the final Newton iterate u; c
+    reads inf or 0.0 where it leaves the float range.
     """
-    grid = geom.grid
     psi = u - float(u.max())
-    dens = report.density
-    weight = np.exp(-geom.lam * (psi + g)) * geom.f
-    c = grid.integrate(dens) / grid.integrate(weight)
-    residual = float(
-        np.abs(np.log(dens) - np.log(c) + geom.lam * (psi + g) - np.log(geom.f)).max()
-    )
+    log_w, log_z = geom.coupling(psi + g)
+    log_c = math.log(geom.grid.integrate(report.density)) - log_z
+    residual = float(np.abs(np.log(report.density) - log_c - log_w).max())
     if residual > tol_inner:
         raise NoConvergence(
             f"slice residual {residual:.3e} above tol_inner {tol_inner:.3e} "
             "after constant compatibility update"
         )
     report.residual = residual
-    report.c = c
+    with np.errstate(over="ignore"):
+        report.c = float(np.exp(log_c))
     return psi, report
 
 
-def _follow_path(geom, index, g, start, t, tol_inner, max_newton):
+def _follow_path(geom, index, g, start, t, tol_inner):
     """Solve the rung at ``t`` from ``start``, then walk the rungs to t = lam.
 
     The right-hand side stays fixed and only the zeroth-order coefficient
@@ -538,13 +548,11 @@ def _follow_path(geom, index, g, start, t, tol_inner, max_newton):
         raise ValueError("coupling field g has wrong shape")
     if not np.all(np.isfinite(g)):
         raise ValueError("coupling field g must be finite")
-    rhs = np.log(geom.f) - geom.lam * g
+    rhs = geom.log_f - geom.lam * g
     inner_tol = 0.25 * tol_inner
 
     t_cur, t_end = float(t), float(geom.lam)
-    phi, s, rung = _damped_newton(
-        grid, A, rhs, inner_tol, start, max_newton, t_cur
-    )
+    phi, s, rung = _damped_newton(grid, A, rhs, inner_tol, start, t_cur)
     report = SolveReport()
     report.append_rung(t_cur, rung)
     dt = 0.1
@@ -552,7 +560,7 @@ def _follow_path(geom, index, g, start, t, tol_inner, max_newton):
         t_try = min(t_end, t_cur + dt)
         try:
             phi, s, rung = _damped_newton(
-                grid, A, rhs, inner_tol, phi, max_newton, t_try, s0=s
+                grid, A, rhs, inner_tol, phi, t_try, s0=s
             )
         except (NoConvergence, NonAdmissibleStep):
             dt *= 0.5
@@ -580,7 +588,7 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, warm_start=None):
     solved in log form to the sup-norm tolerance ``tol_inner``.  The
     constant c is recomputed from the exact volume compatibility
     identity before the final residual is recorded.  A warm start gets
-    one direct attempt at t = lam of at most _WARM_NEWTON Newton steps;
+    one direct attempt at t = lam of at most _NEWTON_STEPS Newton steps;
     if it lies outside the cone or that attempt fails, the slice is
     solved from zero by :func:`continuity_solve`.  For lam = -1 an
     all-zero warm start is where that solve starts, so it goes there at
@@ -588,9 +596,7 @@ def solve_tke(geom, index, g, *, tol_inner=1e-10, warm_start=None):
     """
     if warm_start is not None and (geom.lam == 1 or np.any(warm_start)):
         try:
-            return _follow_path(
-                geom, index, g, warm_start, geom.lam, tol_inner, _WARM_NEWTON
-            )
+            return _follow_path(geom, index, g, warm_start, geom.lam, tol_inner)
         except (NonAdmissible, NoConvergence, NonAdmissibleStep):
             logger.debug(
                 "direct solve from the warm start failed for class %d; "
@@ -606,10 +612,9 @@ def continuity_solve(geom, index, g, *, tol_inner=1e-10):
     The path starts at t = min(lam, 0) and ends at t = lam: for lam = -1
     it is the single rung t = -1, the slice equation itself; for lam = +1
     it starts at t = 0, the Calabi-Yau-type equation, and walks the rungs
-    of :func:`_follow_path` up to t = 1, each rung allowed _RUNG_NEWTON
+    of :func:`_follow_path` up to t = 1, each rung allowed _NEWTON_STEPS
     Newton steps.
     """
     return _follow_path(
-        geom, index, g, np.zeros(geom.grid.shape), min(geom.lam, 0),
-        tol_inner, _RUNG_NEWTON,
+        geom, index, g, np.zeros(geom.grid.shape), min(geom.lam, 0), tol_inner
     )

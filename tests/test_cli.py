@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import warnings
 from types import SimpleNamespace
 
@@ -212,6 +213,23 @@ def test_run_with_a_huge_class_volume_writes_finite_ledger_columns(tmp_path):
     with open(out / "ledger.csv", newline="") as fh:
         ratios = [float(row["eqratio_1"]) for row in csv.DictReader(fh)]
     assert ratios and np.isfinite(ratios).all()
+
+
+def test_run_converges_where_the_coupling_weight_underflows(tmp_path, caplog):
+    # sum psi = -1800 at the start, so exp(-lam * sum psi) is 0.0 in floats
+    # everywhere while its log and the slice equations stay finite
+    cfg = {
+        **get_preset("neg-k2-stiff"), "N": 32, "A": [1e5, 1e5],
+        "init": ["900*(cos(2*pi*x_1) - 1)", "900*(-cos(2*pi*x_1) - 1)"],
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="coupled_ricci.iteration"):
+        assert run_cli(["run", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert "Ding monotonicity violated" not in caplog.text
 
 
 def test_run_exit_two_when_step_budget_runs_out(tmp_path):

@@ -221,6 +221,27 @@ def test_ricci_potentials_of_an_underflowing_coupling_weight():
         assert mass == pytest.approx(geom.volumes[i], rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [-1, 1])
+def test_coupling_terms_of_a_weight_past_the_float_range(lam):
+    # sum psi = -800 scales exp(-lam * sum psi) by exp(800 * lam), which
+    # under- or overflows; constant potentials have ma_density det A_i, so
+    # L = -800 - lam * log Z_f and rho_i = log(f / Z_f), Z_f the integral of f
+    grid = PeriodicGrid(1, 32)
+    x = grid.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(
+        grid=grid, lam=lam, A=np.array([[[1.0]], [[2.0]]]), f=f
+    )
+    psis = np.full((2, 32), -400.0)
+    z_f = grid.integrate(f)
+    assert l_functional(geom, psis) == pytest.approx(
+        -800.0 - lam * np.log(z_f), rel=1e-15
+    )
+    rhos = ricci_potentials(geom, psis)
+    for rho in rhos:
+        np.testing.assert_allclose(rho, np.log(f / z_f), rtol=0, atol=1e-12)
+
+
 def test_ricci_potentials_vanish_at_fixed_point():
     geom = sine_geom(N=32)
     state = run(geom)

@@ -386,8 +386,8 @@ def _scaled(data, scale):
     "data, sweeps",
     [
         (_scaled({**get_preset("neg-k2-stiff"), "N": 32}, 100.0), 84),
-        (_scaled({**get_preset("neg-k2-stiff"), "N": 32}, 1000.0), 78),
-        (_scaled({**get_preset("neg-k2-2d"), "N": 32}, 1e6), 108),
+        (_scaled({**get_preset("neg-k2-stiff"), "N": 32}, 1000.0), 63),
+        (_scaled({**get_preset("neg-k2-2d"), "N": 32}, 1e6), 97),
     ],
     ids=["1d-1e5", "1d-1e6", "2d-1e6"],
 )

@@ -682,7 +682,7 @@ def test_warm_start_beyond_the_direct_budget_falls_back_to_zero():
     assert ma_density(g, geom.A[0], warm).min() < 1e-8
     with pytest.raises(NoConvergence, match="after 20 iterations"):
         monge_ampere._damped_newton(
-            g, geom.A[0], np.log(f), 0.25e-10, warm, 20, t=-1.0
+            g, geom.A[0], np.log(f), 0.25e-10, warm, t=-1.0
         )
     psi, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     cold_psi, cold = solve_tke(geom, 0, np.zeros(32))
@@ -691,26 +691,45 @@ def test_warm_start_beyond_the_direct_budget_falls_back_to_zero():
     assert rep.residual <= 1e-10
 
 
+def _counted_newton(monkeypatch):
+    """Patch monge_ampere._damped_newton to count its calls in a list."""
+    calls = []
+    damped_newton = monge_ampere._damped_newton
+    monkeypatch.setattr(
+        monge_ampere, "_damped_newton",
+        lambda *args, **kwargs: calls.append(1) or damped_newton(*args, **kwargs),
+    )
+    return calls
+
+
 def test_negative_sign_zero_warm_start_is_the_cold_slice_solve(monkeypatch):
     # the direct attempt from zero would repeat the rung of continuity_solve
-    # with half its Newton budget
     g = PeriodicGrid(1, 32)
     x = g.coords()[0]
     f = 1 + 0.5 * np.sin(2 * np.pi * x)
     geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
     gfield = 0.1 * np.cos(2 * np.pi * x)
-    budgets = []
-    damped_newton = monge_ampere._damped_newton
-    monkeypatch.setattr(
-        monge_ampere, "_damped_newton",
-        lambda *args, **kwargs: budgets.append(args[5])
-        or damped_newton(*args, **kwargs),
-    )
+    calls = _counted_newton(monkeypatch)
     psi, rep = solve_tke(geom, 0, gfield, warm_start=np.zeros(32))
+    assert len(calls) == 1
     cold_psi, cold = solve_tke(geom, 0, gfield)
+    assert len(calls) == 2
     np.testing.assert_array_equal(psi, cold_psi)
     assert rep == cold
-    assert budgets == [40, 40]
+
+
+def test_negative_sign_zero_warm_start_fails_in_one_newton_solve(monkeypatch):
+    # with one Newton step the rung fails; a direct attempt from zero
+    # before the fallback would fail the same rung a second time
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=-1, A=np.array([[[1.0]]]), f=f)
+    monkeypatch.setattr(monge_ampere, "_NEWTON_STEPS", 1)
+    calls = _counted_newton(monkeypatch)
+    with pytest.raises(NoConvergence, match="after 1 iterations"):
+        solve_tke(geom, 0, 0.1 * np.cos(2 * np.pi * x), warm_start=np.zeros(32))
+    assert len(calls) == 1
 
 
 def test_random_densities_always_solve():
@@ -756,6 +775,22 @@ def test_compatibility_constant_identity():
     dens = ma_density(g, geom.A[0], psi)
     weight = rep.c * np.exp(psi + gfield) * f
     assert g.integrate(dens) == pytest.approx(g.integrate(weight), rel=1e-13)
+
+
+@pytest.mark.parametrize("lam, c", [(-1, np.inf), (1, 0.0)])
+def test_a_constant_coupling_field_only_rescales_c(lam, c):
+    # g = -800 scales the weight by exp(800 * lam), past the float range,
+    # and c by its inverse; psi is that of g = 0
+    g = PeriodicGrid(1, 32)
+    x = g.coords()[0]
+    f = 1 + 0.5 * np.sin(2 * np.pi * x)
+    geom = BackgroundGeometry(grid=g, lam=lam, A=np.array([[[1.0]]]), f=f)
+    psi, rep = solve_tke(geom, 0, np.full(32, -800.0))
+    ref_psi, ref = solve_tke(geom, 0, np.zeros(32))
+    np.testing.assert_allclose(psi, ref_psi, rtol=0, atol=1e-12)
+    assert rep.residual <= 1e-10
+    assert rep.c == c
+    assert 0.0 < ref.c < np.inf
 
 
 def test_report_residual_matches_independent_reevaluation():
@@ -845,8 +880,7 @@ def test_positive_sign_direct_solve_respects_newton_budget(monkeypatch):
     _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     [(t, iters)] = rep.continuity_trace
     assert t == 1.0 and iters > 4
-    monkeypatch.setattr(monge_ampere, "_WARM_NEWTON", 4)
-    monkeypatch.setattr(monge_ampere, "_RUNG_NEWTON", 4)
+    monkeypatch.setattr(monge_ampere, "_NEWTON_STEPS", 4)
     _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     assert rep.continuity_trace[0][0] == 0.0
     assert all(iters <= 4 for _, iters in rep.continuity_trace)
@@ -930,8 +964,7 @@ def test_newton_converging_on_its_last_allowed_step_succeeds(monkeypatch):
     f = 1 + 0.05 * np.sin(2 * np.pi * x)
     geom = BackgroundGeometry(grid=g, lam=1, A=np.array([[[1.0]]]), f=f)
     warm = 0.02 * np.cos(2 * np.pi * x)
-    monkeypatch.setattr(monge_ampere, "_WARM_NEWTON", 3)
-    monkeypatch.setattr(monge_ampere, "_RUNG_NEWTON", 3)
+    monkeypatch.setattr(monge_ampere, "_NEWTON_STEPS", 3)
     _, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     assert rep.continuity_trace[0] == (0.0, 3)
     assert all(iters <= 3 for _, iters in rep.continuity_trace)
@@ -948,7 +981,7 @@ def calabi_yau(grid, A, rho, tol_inner=1e-10):
     c is the volume ratio integrate(ma_density) / integrate(rho).
     """
     psi, _, _ = monge_ampere._damped_newton(
-        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape), 40, t=0.0
+        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape), t=0.0
     )
     c = grid.integrate(ma_density(grid, A, psi)) / grid.integrate(rho)
     return psi, c
