@@ -398,58 +398,8 @@ def _krylov_solve(matvec, psolve, b, rtol, atol):
     return y @ directions[:k], abs(g[k]) <= target, k
 
 
-def _newton_direction(grid, A, hess, dens, res, tol, t, mean, rtol):
-    """Newton direction by FFT-preconditioned GMRES.
-
-    Solves the system of :func:`_newton_operators` for the right-hand
-    side -(res, mean) to the relative tolerance ``rtol``, with an
-    absolute floor set by the Newton tolerance ``tol``.  Returns
-    (delta_u, delta_s, krylov_iterations); raises NoConvergence rather
-    than return an unconverged direction.
-    """
-    matvec, psolve = _newton_operators(grid, A, hess, dens, t)
-    P = grid.num_points
-    rhs = -np.append(res.ravel(), mean)
-    sol, converged, steps = _krylov_solve(
-        matvec, psolve, rhs, rtol, _KRYLOV_ATOL_FACTOR * tol * np.sqrt(P)
-    )
-    if not converged:
-        reached = np.linalg.norm(rhs - matvec(sol)) / np.linalg.norm(rhs)
-        raise NoConvergence(
-            f"Newton linear solve (GMRES) did not converge after "
-            f"{steps} preconditioned iterations; relative "
-            f"residual {reached:.3e}"
-        )
-    return sol[:P].reshape(grid.shape), float(sol[P]), steps
-
-
 # ---------------------------------------------------------------------------
 # damped Newton driver
-
-
-def _line_search(grid, A, u, s, delta, delta_s, res_norm, residual):
-    """Backtrack until the iterate stays admissible and the residual drops.
-
-    Returns the accepted (u, s, hess, dens, res, norm, alpha).
-    """
-    alpha = 1.0
-    saw_admissible = False
-    for _ in range(_MAX_HALVINGS):
-        cand = u + alpha * delta
-        hess, dens = cone_state(grid, A, cand)
-        if dens is not None:
-            saw_admissible = True
-            cand_s = s + alpha * delta_s
-            res = residual(cand, cand_s, dens)
-            norm = float(np.abs(res).max())
-            if norm <= (1.0 - 0.25 * alpha) * res_norm:
-                return cand, cand_s, hess, dens, res, norm, alpha
-        alpha *= 0.5
-    if not saw_admissible:
-        raise NonAdmissibleStep(
-            "no damping factor keeps the Newton iterate admissible"
-        )
-    raise NoConvergence("Newton line search failed to reduce the residual")
 
 
 def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
@@ -460,20 +410,29 @@ def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
     over (u, s).  u starts at ``phi0`` minus its mean and s at ``s0``;
     with ``s0`` None, s starts at the mean of the residual at s = 0.
     t = -1 is the lam=-1 slice equation, s its compatibility constant;
-    t in [0, 1] are the rungs of the lam=+1 continuity path.  Raises
-    NonAdmissible when ``phi0`` is outside the cone.  Returns
-    (u, s, SolveReport), the report holding the Hessian and density of u.
+    t in [0, 1] are the rungs of the lam=+1 continuity path.
+
+    Each step solves the :func:`_newton_operators` system for
+    -(residual, mean u) by GMRES, then halves the damping factor alpha
+    from 1 until the trial iterate is in the cone and its residual sup
+    norm is at most (1 - alpha/4) times the current one.  Raises
+    NonAdmissible when ``phi0`` is outside the cone.  Its three failures:
+    the Newton budget (NoConvergence once _NEWTON_STEPS steps leave the
+    residual above ``tol``), GMRES (NoConvergence when it stops short of
+    its tolerance) and the line search (after _MAX_HALVINGS failed trials,
+    NonAdmissibleStep if none was in the cone, NoConvergence otherwise).
+    Returns (u, s, SolveReport), the report holding the Hessian and
+    density of u.
     """
     u = np.asarray(phi0, dtype=float)
     u = u - u.mean()
     hess = hessian(grid, u)
     dens = _admissible_density(grid, A, hess)
-
-    def residual(cand, cand_s, cand_dens):
-        return np.log(cand_dens) + t * cand - rhs - cand_s
-
-    s = float(residual(u, 0.0, dens).mean()) if s0 is None else float(s0)
-    res = residual(u, s, dens)
+    P = grid.num_points
+    atol = _KRYLOV_ATOL_FACTOR * tol * np.sqrt(P)
+    res = np.log(dens) + t * u - rhs  # the residual at s = 0
+    s = float(res.mean()) if s0 is None else float(s0)
+    res = res - s
     norm = float(np.abs(res).max())
     history = [norm]
     dampings = []
@@ -484,14 +443,43 @@ def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
                 f"Newton stalled at residual {norm:.3e} after "
                 f"{_NEWTON_STEPS} iterations"
             )
+        matvec, psolve = _newton_operators(grid, A, hess, dens, t)
+        b = -np.append(res.ravel(), u.mean())
         forcing = float(np.clip(norm, _KRYLOV_RTOL, _FORCING_MAX))
-        delta, delta_s, its = _newton_direction(
-            grid, A, hess, dens, res, tol, t, u.mean(), rtol=forcing
-        )
-        krylov.append(its)
-        u, s, hess, dens, res, norm, alpha = _line_search(
-            grid, A, u, s, delta, delta_s, norm, residual
-        )
+        sol, converged, steps = _krylov_solve(matvec, psolve, b, forcing, atol)
+        if not converged:
+            reached = np.linalg.norm(b - matvec(sol)) / np.linalg.norm(b)
+            raise NoConvergence(
+                f"Newton linear solve (GMRES) did not converge after "
+                f"{steps} preconditioned iterations; relative "
+                f"residual {reached:.3e}"
+            )
+        del matvec, psolve, b  # not held through the line search
+        krylov.append(steps)
+        delta, delta_s = sol[:P].reshape(grid.shape), float(sol[P])
+        alpha = 1.0
+        saw_admissible = False
+        for _ in range(_MAX_HALVINGS):
+            cand = u + alpha * delta
+            cand_hess, cand_dens = cone_state(grid, A, cand)
+            if cand_dens is not None:
+                saw_admissible = True
+                cand_s = s + alpha * delta_s
+                cand_res = np.log(cand_dens) + t * cand - rhs - cand_s
+                cand_norm = float(np.abs(cand_res).max())
+                if cand_norm <= (1.0 - 0.25 * alpha) * norm:
+                    break
+            alpha *= 0.5
+        else:
+            if not saw_admissible:
+                raise NonAdmissibleStep(
+                    "no damping factor keeps the Newton iterate admissible"
+                )
+            raise NoConvergence(
+                "Newton line search failed to reduce the residual"
+            )
+        u, s, hess, dens = cand, cand_s, cand_hess, cand_dens
+        res, norm = cand_res, cand_norm
         dampings.append(alpha)
         history.append(norm)
     report = SolveReport(

@@ -383,10 +383,14 @@ def test_krylov_direction_matches_newton_step(n, N, t):
     full_res = np.concatenate([res.ravel(), [phi.mean()]])
     sol = spsolve(_assembled_system(g, A, phi, t).tocsc(), -full_res)
     want, want_s = sol[:-1].reshape(g.shape), sol[-1]
-    got, got_s, its = monge_ampere._newton_direction(
-        g, A, hess, dens, res, 2.5e-11, t, phi.mean(), monge_ampere._KRYLOV_RTOL
+    # the GMRES solve of one _damped_newton step at tolerance 2.5e-11
+    matvec, psolve = monge_ampere._newton_operators(g, A, hess, dens, t)
+    atol = monge_ampere._KRYLOV_ATOL_FACTOR * 2.5e-11 * np.sqrt(g.num_points)
+    x, converged, its = monge_ampere._krylov_solve(
+        matvec, psolve, -full_res, monge_ampere._KRYLOV_RTOL, atol
     )
-    assert its > 0
+    got, got_s = x[:-1].reshape(g.shape), x[-1]
+    assert converged and its > 0
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     assert got_s == pytest.approx(want_s, rel=0, abs=1e-10 * max(1.0, abs(want_s)))
     if t == -1.0:
@@ -438,7 +442,8 @@ def test_unconverged_krylov_solve_raises(monkeypatch):
         raise AssertionError("unconverged direction reached the line search")
 
     monkeypatch.setattr(monge_ampere, "_krylov_solve", stalled)
-    monkeypatch.setattr(monge_ampere, "_line_search", no_line_search)
+    # every trial of the backtracking calls cone_state; the start does not
+    monkeypatch.setattr(monge_ampere, "cone_state", no_line_search)
     g = PeriodicGrid(1, 16)
     x = g.coords()[0]
     f = np.exp(0.3 * np.sin(2 * np.pi * x))
