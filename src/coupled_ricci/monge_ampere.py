@@ -226,14 +226,6 @@ class SolveReport:
         """Newton steps taken, one per damping factor."""
         return len(self.damping_factors)
 
-    def append_rung(self, t, rung: SolveReport) -> None:
-        """Fold the report of the continuity rung at ``t`` into this one."""
-        self.damping_factors.extend(rung.damping_factors)
-        self.krylov_iterations.extend(rung.krylov_iterations)
-        self.residual_history = rung.residual_history
-        self.hessian, self.density = rung.hessian, rung.density
-        self.continuity_trace.append((t, rung.newton_iterations))
-
 
 # ---------------------------------------------------------------------------
 # the assembled reference, loaded on first use
@@ -402,7 +394,7 @@ def _krylov_solve(matvec, psolve, b, rtol, atol):
 # damped Newton driver
 
 
-def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
+def _damped_newton(grid, A, rhs, tol, phi0, t, report, s0=None):
     """Damped Newton for one slice equation in log form,
 
         log ma_density(A, u) + t*u - rhs - s = 0,  mean u = 0,
@@ -421,8 +413,9 @@ def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
     residual above ``tol``), GMRES (NoConvergence when it stops short of
     its tolerance) and the line search (after _MAX_HALVINGS failed trials,
     NonAdmissibleStep if none was in the cone, NoConvergence otherwise).
-    Returns (u, s, SolveReport), the report holding the Hessian and
-    density of u.
+    On convergence it appends the rung to the path's ``report`` and sets
+    its history, Hessian and density to those of u; a rung that raises
+    leaves ``report`` untouched.  Returns (u, s).
     """
     u = np.asarray(phi0, dtype=float)
     u = u - u.mean()
@@ -482,36 +475,16 @@ def _damped_newton(grid, A, rhs, tol, phi0, t, s0=None):
         res, norm = cand_res, cand_norm
         dampings.append(alpha)
         history.append(norm)
-    report = SolveReport(
-        damping_factors=dampings, residual_history=history,
-        krylov_iterations=krylov, hessian=hess, density=dens,
-    )
-    return u, s, report
+    report.damping_factors.extend(dampings)
+    report.krylov_iterations.extend(krylov)
+    report.continuity_trace.append((t, len(dampings)))
+    report.residual_history = history
+    report.hessian, report.density = hess, dens
+    return u, s
 
 
 # ---------------------------------------------------------------------------
 # public slice solvers
-
-
-def _finalize(geom, g, u, tol_inner, report):
-    """Shift u to sup 0, recompute c and record the residual.
-
-    The density is the report's, that of the final Newton iterate u; c
-    reads inf or 0.0 where it leaves the float range.
-    """
-    psi = u - float(u.max())
-    log_w, log_z = geom.coupling(psi + g)
-    log_c = math.log(geom.grid.integrate(report.density)) - log_z
-    residual = float(np.abs(np.log(report.density) - log_c - log_w).max())
-    if residual > tol_inner:
-        raise NoConvergence(
-            f"slice residual {residual:.3e} above tol_inner {tol_inner:.3e} "
-            "after constant compatibility update"
-        )
-    report.residual = residual
-    with np.errstate(over="ignore"):
-        report.c = float(np.exp(log_c))
-    return psi, report
 
 
 def _follow_path(geom, index, g, start, t, tol_inner):
@@ -526,8 +499,10 @@ def _follow_path(geom, index, g, start, t, tol_inner):
     equation, whose s takes log c.  The first rung starts s at the mean
     residual and each later rung at the previous (phi, s).  The step in t
     starts at 0.1, doubles after success (capped at 0.25), halves on
-    failure, and aborts with ContinuityBreakdown below 1e-4.  Returns
-    (psi, SolveReport) after :func:`_finalize`.
+    failure, and aborts with ContinuityBreakdown below 1e-4.  The tail
+    shifts phi to sup 0 and recomputes c from the volume identity, with
+    the density of the final Newton iterate; c reads inf or 0.0 where it
+    leaves the float range.  Returns (psi, SolveReport).
     """
     grid = geom.grid
     A = geom.A[index]
@@ -540,15 +515,14 @@ def _follow_path(geom, index, g, start, t, tol_inner):
     inner_tol = 0.25 * tol_inner
 
     t_cur, t_end = float(t), float(geom.lam)
-    phi, s, rung = _damped_newton(grid, A, rhs, inner_tol, start, t_cur)
     report = SolveReport()
-    report.append_rung(t_cur, rung)
+    phi, s = _damped_newton(grid, A, rhs, inner_tol, start, t_cur, report)
     dt = 0.1
     while t_cur < t_end:
         t_try = min(t_end, t_cur + dt)
         try:
-            phi, s, rung = _damped_newton(
-                grid, A, rhs, inner_tol, phi, t_try, s0=s
+            phi, s = _damped_newton(
+                grid, A, rhs, inner_tol, phi, t_try, report, s0=s
             )
         except (NoConvergence, NonAdmissibleStep):
             dt *= 0.5
@@ -561,9 +535,20 @@ def _follow_path(geom, index, g, start, t, tol_inner):
                 )
             continue
         t_cur = t_try
-        report.append_rung(t_try, rung)
         dt = min(dt * 2.0, 0.25)
-    return _finalize(geom, g, phi, tol_inner, report)
+    psi = phi - float(phi.max())
+    log_w, log_z = geom.coupling(psi + g)
+    log_c = math.log(grid.integrate(report.density)) - log_z
+    residual = float(np.abs(np.log(report.density) - log_c - log_w).max())
+    if residual > tol_inner:
+        raise NoConvergence(
+            f"slice residual {residual:.3e} above tol_inner {tol_inner:.3e} "
+            "after constant compatibility update"
+        )
+    report.residual = residual
+    with np.errstate(over="ignore"):
+        report.c = float(np.exp(log_c))
+    return psi, report
 
 
 def solve_tke(geom, index, g, *, tol_inner=1e-10, warm_start=None):

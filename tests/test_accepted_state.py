@@ -1,11 +1,12 @@
 """Counts and outputs of full runs, and the reuse of each accepted state.
 
 A slice solve hands the Hessian and density of its final Newton iterate
-to ``_finalize`` and, through the sweep, to the ledger row of the sweep
-output; ``final_rho_max`` reads that row.  The shift of the Newton iterate
-to sup 0 changes its Hessian only by rounding, so the psi outputs and all
-counts are those of a run that rebuilds each state from psi, and the
-ledger columns agree with that run's to the tolerance checked below.
+to the path's tail (c and the slice residual) and, through the sweep, to
+the ledger row of the sweep output; ``final_rho_max`` reads that row.
+The shift of the Newton iterate to sup 0 changes its Hessian only by
+rounding, so the psi outputs and all counts are those of a run that
+rebuilds each state from psi, and the ledger columns agree with that
+run's to the tolerance checked below.
 """
 
 import sys
@@ -191,7 +192,11 @@ def test_finalize_and_final_rho_max_build_no_hessian(monkeypatch, name):
     assert state.converged
     assert state.final_rho_max <= cfg.iteration.tol_fixed_point
     assert stacks
-    assert not [s for s in stacks if {"_finalize", "final_rho_max"} & s]
+    assert not [s for s in stacks if "final_rho_max" in s]
+    # the path's tail reuses the density of the last Newton iterate
+    assert not [
+        s for s in stacks if "_follow_path" in s and "_damped_newton" not in s
+    ]
     # the start-up builds one Hessian per class, which the step-0 row reuses
     startup = [s for s in stacks if "_start" in s]
     assert len(startup) == cfg.geom.k

@@ -687,7 +687,8 @@ def test_warm_start_beyond_the_direct_budget_falls_back_to_zero():
     assert ma_density(g, geom.A[0], warm).min() < 1e-8
     with pytest.raises(NoConvergence, match="after 20 iterations"):
         monge_ampere._damped_newton(
-            g, geom.A[0], np.log(f), 0.25e-10, warm, t=-1.0
+            g, geom.A[0], np.log(f), 0.25e-10, warm, -1.0,
+            monge_ampere.SolveReport(),
         )
     psi, rep = solve_tke(geom, 0, np.zeros(32), warm_start=warm)
     cold_psi, cold = solve_tke(geom, 0, np.zeros(32))
@@ -812,18 +813,22 @@ def test_report_residual_matches_independent_reevaluation():
     assert again == pytest.approx(rep.residual, rel=1e-14, abs=1e-300)
 
 
-def test_finalize_rejects_a_density_of_another_field():
+def test_finalize_rejects_a_density_of_another_field(monkeypatch):
+    # the path's tail checks the slice residual with the reported density
     g = PeriodicGrid(1, 16)
     x = g.coords()[0]
     geom = BackgroundGeometry(
         grid=g, lam=-1, A=np.array([[[1.0]]]), f=np.ones(16)
     )
-    # the density of the zero potential, reported for a cosine
-    report = monge_ampere.SolveReport(density=np.ones(16))
+
+    def rung(grid, A, rhs, tol, phi0, t, report, s0=None):
+        # the density of the zero potential, reported for a cosine
+        report.density = np.ones(16)
+        return 0.1 * np.cos(2 * np.pi * x), 0.0
+
+    monkeypatch.setattr(monge_ampere, "_damped_newton", rung)
     with pytest.raises(NoConvergence, match="above tol_inner 1.000e-10"):
-        monge_ampere._finalize(
-            geom, np.zeros(16), 0.1 * np.cos(2 * np.pi * x), 1e-10, report
-        )
+        continuity_solve(geom, 0, np.zeros(16), tol_inner=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -985,8 +990,9 @@ def calabi_yau(grid, A, rho, tol_inner=1e-10):
 
     c is the volume ratio integrate(ma_density) / integrate(rho).
     """
-    psi, _, _ = monge_ampere._damped_newton(
-        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape), t=0.0
+    psi, _ = monge_ampere._damped_newton(
+        grid, A, np.log(rho), 0.25 * tol_inner, np.zeros(grid.shape), 0.0,
+        monge_ampere.SolveReport(),
     )
     c = grid.integrate(ma_density(grid, A, psi)) / grid.integrate(rho)
     return psi, c

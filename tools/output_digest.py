@@ -3,10 +3,12 @@
 Usage: OPENBLAS_NUM_THREADS=1 python3 tools/output_digest.py.  One line per
 config: exit code, sweeps / Newton steps (one per GMRES solve, failed ones
 included) / Arnoldi steps, a SHA-256 of the output files without their
-``wall_ms``, and the stop reason.
+``wall_ms``, and the stop reason.  A last line gives the total line count
+of ``src/coupled_ricci/*.py``.
 """
 
 import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -58,3 +60,8 @@ if __name__ == "__main__":
             with open(path, "w") as fh:
                 json.dump(workloads.make_config(name, 0)[0], fh)
             run(name, path, tmp)
+    lines = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "coupled_ricci", "*.py")):
+        with open(path, "rb") as fh:
+            lines += fh.read().count(b"\n")
+    print(f"src/coupled_ricci/*.py {lines} lines")
